@@ -18,6 +18,12 @@ cargo run -q --release -p dgc-bench --bin figure6 -- \
 cargo run -q --release -p dgc-prof --bin prof-diff -- \
     results/smoke_tl32.jsonl "$PROF_TMP/smoke_tl32.jsonl" --tolerance 0.02
 
+echo "== figure6: full reproduction vs golden =="
+# Both Fig. 6 panels at every instance count, not just the smoke subset:
+# the output must equal the checked-in reproduction byte for byte.
+cargo run -q --release -p dgc-bench --bin figure6 > "$PROF_TMP/figure6.txt"
+cmp results/figure6.txt "$PROF_TMP/figure6.txt"
+
 echo "== prof: chrome trace export validates =="
 printf -- '-l 60 -g 16\n-l 60 -g 16\n' > "$PROF_TMP/args.txt"
 cargo run -q --release -p ensemble-cli -- xsbench -f "$PROF_TMP/args.txt" \
@@ -150,7 +156,9 @@ SERVE="$PROF_TMP/serve"
 mkdir -p "$SERVE"
 # Invoke the built binary directly (not `cargo run`): the crash drills
 # signal the daemon's own PID, and the cargo wrapper neither forwards
-# SIGTERM nor survives SIGKILL semantics.
+# SIGTERM nor survives SIGKILL semantics. The workspace build above
+# builds only the root package, so build the binary here.
+cargo build -q --release -p dgc-serve
 dgc_serve() { ./target/release/dgc-serve "$@"; }
 cat > "$SERVE/jobs.jsonl" <<'EOF'
 # serve CI workload: two apps, small args (fast even in simulation)

@@ -1027,7 +1027,11 @@ pub fn parse_ensemble_cli(args: &[String]) -> Result<EnsembleCliArgs, CliError> 
             }
             "-n" => {
                 let v = it.next().ok_or(CliError::MissingValue("-n"))?;
-                num_instances = Some(v.parse().map_err(|_| CliError::BadValue("-n", v.clone()))?);
+                let n: u32 = v.parse().map_err(|_| CliError::BadValue("-n", v.clone()))?;
+                if n == 0 {
+                    return Err(CliError::BadValue("-n", v.clone()));
+                }
+                num_instances = Some(n);
             }
             "-t" => {
                 let v = it.next().ok_or(CliError::MissingValue("-t"))?;
@@ -1038,6 +1042,9 @@ pub fn parse_ensemble_cli(args: &[String]) -> Result<EnsembleCliArgs, CliError> 
                 pack = v
                     .parse()
                     .map_err(|_| CliError::BadValue("--pack", v.clone()))?;
+                if pack == 0 {
+                    return Err(CliError::BadValue("--pack", v.clone()));
+                }
             }
             "--batch" => {
                 let v = it.next().ok_or(CliError::MissingValue("--batch"))?;
@@ -1811,6 +1818,30 @@ module "bench" {
             parse_ensemble_cli(&["-f", "a", "--monitor-interval", "0"].map(String::from)),
             Err(CliError::BadValue("--monitor-interval", "0".into()))
         );
+    }
+
+    /// Zero instances or zero teams per block are rejected as bad values
+    /// (exit 2 from the CLI), never coerced to 1.
+    #[test]
+    fn zero_counts_are_rejected() {
+        let parse = |extra: &[&str]| {
+            let args: Vec<String> = ["-f", "a"]
+                .iter()
+                .chain(extra)
+                .map(|s| s.to_string())
+                .collect();
+            parse_ensemble_cli(&args)
+        };
+        assert_eq!(
+            parse(&["-n", "0"]),
+            Err(CliError::BadValue("-n", "0".into()))
+        );
+        assert_eq!(
+            parse(&["--pack", "0"]),
+            Err(CliError::BadValue("--pack", "0".into()))
+        );
+        let cli = parse(&["-n", "1", "--pack", "1"]).unwrap();
+        assert_eq!((cli.num_instances, cli.pack), (Some(1), 1));
     }
 
     #[test]

@@ -254,11 +254,9 @@ fn pump(mut daemon: Daemon, cli: &Cli) -> Result<i32, ServeError> {
             // A malformed line in a job file is a usage error (exit 2),
             // not a per-op reject.
             let text = std::fs::read_to_string(path).map_err(dgc_serve::JournalError::Io)?;
-            let mut ops = dgc_serve::parse_ops(&text).map_err(|e| {
-                ServeError::Journal(dgc_serve::JournalError::BadHeader(format!(
-                    "job file {}: {e}",
-                    path.display()
-                )))
+            let mut ops = dgc_serve::parse_ops(&text).map_err(|e| ServeError::JobFile {
+                path: path.display().to_string(),
+                reason: e.to_string(),
             })?;
             // Ops after an explicit drain never admit.
             if let Some(cut) = ops.iter().position(|op| matches!(op, StreamOp::Drain)) {

@@ -133,6 +133,11 @@ impl ServeMetrics {
 #[derive(Debug)]
 pub enum ServeError {
     Journal(JournalError),
+    /// A `--jobs` file holds a line that is not a stream op.
+    JobFile {
+        path: String,
+        reason: String,
+    },
     /// A journaled job names an application this build cannot resolve.
     UnknownApp {
         job: String,
@@ -145,6 +150,7 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Journal(e) => write!(f, "{e}"),
+            ServeError::JobFile { path, reason } => write!(f, "job file {path}: {reason}"),
             ServeError::UnknownApp { job, app } => {
                 write!(f, "job `{job}` names unknown app `{app}`")
             }

@@ -416,3 +416,18 @@ fn multi_device_metrics_carry_schema_v4_fields() {
         "every instance record names its device"
     );
 }
+
+#[test]
+fn zero_instances_or_pack_exit_2_instead_of_running_one() {
+    let f = arg_file("zero", 1);
+    for (flag, msg) in [
+        ("-n", "bad value '0' for -n"),
+        ("--pack", "bad value '0' for --pack"),
+    ] {
+        let out = run(&["xsbench", "-f", f.to_str().unwrap(), flag, "0"]);
+        assert_eq!(out.status.code(), Some(2), "{flag} 0");
+        assert!(out.stdout.is_empty(), "{flag} 0 ran an instance");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(msg), "{err}");
+    }
+}

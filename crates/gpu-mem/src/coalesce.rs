@@ -38,6 +38,9 @@ impl CoalesceResult {
     }
 }
 
+/// Lanes of one warp: the widest access the allocation-free path takes.
+const WARP_LANES: usize = 32;
+
 /// Coalesce one warp access: each active lane supplies the address of an
 /// `size`-byte element; the hardware merges them into 32-byte sector
 /// transactions.
@@ -46,10 +49,81 @@ impl CoalesceResult {
 /// (predicated off or beyond the loop bound). An access that straddles a
 /// sector boundary touches both sectors, exactly as on real hardware.
 pub fn coalesce(addrs: &[Option<u64>], size: u32) -> CoalesceResult {
-    let mut sectors: Vec<u64> = Vec::with_capacity(addrs.len() * 2);
-    let mut lines: Vec<u64> = Vec::with_capacity(addrs.len());
+    coalesce_active(addrs.iter().flatten().copied(), addrs.len(), size)
+}
+
+/// [`coalesce`] over a row of lane addresses in which `0` marks an
+/// inactive lane — the null address can never be accessed, so it is free
+/// to serve as the marker. The functional executor's record layout.
+pub fn coalesce_row(addrs: &[u64], size: u32) -> CoalesceResult {
+    coalesce_active(addrs.iter().copied().filter(|&a| a != 0), addrs.len(), size)
+}
+
+/// Coalesce the active lanes' addresses of a warp of `lanes` lanes.
+///
+/// An access of at most a sector touches one sector or two adjacent ones,
+/// and the lines it touches are exactly those holding its sectors. So a
+/// warp of such accesses touches at most 64 sectors, counted without
+/// allocating: straight off the lanes when their addresses ascend (the
+/// common, coalesced case), else after sorting them in a stack buffer.
+/// Anything wider takes the general sort-and-deduplicate path.
+fn coalesce_active<I>(active: I, lanes: usize, size: u32) -> CoalesceResult
+where
+    I: Iterator<Item = u64> + Clone,
+{
+    if size == 0 || u64::from(size) > SECTOR_BYTES || lanes > WARP_LANES {
+        return coalesce_sorting(active, size);
+    }
+    let size = u64::from(size);
+    let touched = active.clone().flat_map(move |addr| {
+        let (first, last) = (addr / SECTOR_BYTES, (addr + size - 1) / SECTOR_BYTES);
+        [Some(first), (last != first).then_some(last)]
+    });
+    let (sectors, lines) = count_ascending(touched.clone().flatten()).unwrap_or_else(|| {
+        let mut buf = [0u64; 2 * WARP_LANES];
+        let mut n = 0;
+        for s in touched.flatten() {
+            buf[n] = s;
+            n += 1;
+        }
+        buf[..n].sort_unstable();
+        count_ascending(buf[..n].iter().copied()).expect("sorted sectors ascend")
+    });
+    CoalesceResult {
+        sectors,
+        lines,
+        useful_bytes: active.count() as u64 * size,
+        moved_bytes: u64::from(sectors) * SECTOR_BYTES,
+    }
+}
+
+/// Distinct sectors and distinct lines of a non-decreasing sequence of
+/// sectors — each is new exactly when it differs from its predecessor.
+/// `None` at the first descent.
+fn count_ascending(sectors: impl Iterator<Item = u64>) -> Option<(u32, u32)> {
+    let per_line = LINE_BYTES / SECTOR_BYTES;
+    let (mut distinct, mut lines) = (0u32, 0u32);
+    let mut prev = None;
+    for s in sectors {
+        match prev {
+            Some(p) if s < p => return None,
+            Some(p) if s == p => continue,
+            Some(p) if s / per_line == p / per_line => {}
+            _ => lines += 1,
+        }
+        distinct += 1;
+        prev = Some(s);
+    }
+    Some((distinct, lines))
+}
+
+/// The general path: every touched sector and line collected, sorted and
+/// deduplicated — any lane count, any access size.
+fn coalesce_sorting(active: impl Iterator<Item = u64>, size: u32) -> CoalesceResult {
+    let mut sectors: Vec<u64> = Vec::new();
+    let mut lines: Vec<u64> = Vec::new();
     let mut useful = 0u64;
-    for addr in addrs.iter().flatten() {
+    for addr in active {
         useful += size as u64;
         let first = addr / SECTOR_BYTES;
         let last = (addr + size as u64 - 1) / SECTOR_BYTES;

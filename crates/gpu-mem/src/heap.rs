@@ -1,5 +1,6 @@
 use crate::Scalar;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Base of the simulated device heap. A large, distinctive constant so that
@@ -15,6 +16,11 @@ const MIN_ALIGN: u64 = 256;
 /// exist to serve the free-then-realloc churn of iterative kernels, not to
 /// hoard memory away from other teams.
 const RING_CAP: usize = 8;
+
+/// How many recently resolved regions an access checks before searching
+/// the region tree. Kernels interleave a handful of arrays (an index, its
+/// values, a vector or two), so a few entries catch nearly every access.
+const RECENT: usize = 8;
 
 /// The null device pointer.
 pub const NULL_DEVICE_PTR: DevicePtr = DevicePtr(0);
@@ -153,9 +159,24 @@ pub struct HeapStats {
     pub cache_flushes: u64,
 }
 
+/// One entry of the recent-region cache: a live region's bounds and slot.
+/// The empty entry has `len` 0 and so contains no address.
+#[derive(Debug, Clone, Copy, Default)]
+struct Recent {
+    start: u64,
+    len: u64,
+    slot: usize,
+}
+
 struct Region {
     info: RegionInfo,
     data: Option<Vec<u8>>,
+}
+
+impl Region {
+    fn contains(&self, addr: u64) -> bool {
+        addr >= self.info.start && addr - self.info.start < self.info.len
+    }
 }
 
 /// One block parked in a per-team size-class ring, remembering the
@@ -193,7 +214,18 @@ pub struct DeviceMemory {
     free_list_bytes: u64,
     /// Multiset of free-list hole lengths: len -> count.
     hole_sizes: BTreeMap<u64, u32>,
-    regions: BTreeMap<u64, Region>, // keyed by start address
+    /// Live regions: start address -> index into `slots`.
+    regions: BTreeMap<u64, usize>,
+    /// Region storage; `None` marks a vacant slot, listed in `vacant` and
+    /// reused (last freed, first reused) by the next allocation.
+    slots: Vec<Option<Region>>,
+    vacant: Vec<usize>,
+    /// Recently resolved live regions, checked before the tree so that
+    /// accesses cycling through a few arrays cost no search at all.
+    /// Filled round-robin (`recent_next`) and emptied by every free, so an
+    /// entry always describes a live region.
+    recent: [Cell<Recent>; RECENT],
+    recent_next: Cell<usize>,
     next_region: u32,
     stats: HeapStats,
     generation: u64,
@@ -223,6 +255,10 @@ impl DeviceMemory {
             free_list_bytes: capacity,
             hole_sizes,
             regions: BTreeMap::new(),
+            slots: Vec::new(),
+            vacant: Vec::new(),
+            recent: Default::default(),
+            recent_next: Cell::new(0),
             next_region: 1,
             stats: HeapStats::default(),
             generation: 0,
@@ -543,19 +579,27 @@ impl DeviceMemory {
             Backing::Materialized => Some(vec![0u8; alen as usize]),
             Backing::Reserved => None,
         };
-        self.regions.insert(
-            start,
-            Region {
-                info: RegionInfo {
-                    id,
-                    start,
-                    len: alen,
-                    backing,
-                    tag,
-                },
-                data,
+        let region = Region {
+            info: RegionInfo {
+                id,
+                start,
+                len: alen,
+                backing,
+                tag,
             },
-        );
+            data,
+        };
+        let slot = match self.vacant.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(region);
+                slot
+            }
+            None => {
+                self.slots.push(Some(region));
+                self.slots.len() - 1
+            }
+        };
+        self.regions.insert(start, slot);
         self.stats.bytes_in_use += alen;
         self.stats.peak_bytes_in_use = self.stats.peak_bytes_in_use.max(self.stats.bytes_in_use);
         self.stats.live_allocations += 1;
@@ -591,9 +635,14 @@ impl DeviceMemory {
 
     /// Free the allocation starting at `ptr`.
     pub fn free(&mut self, ptr: DevicePtr) -> Result<(), AllocError> {
-        let Some(region) = self.regions.remove(&ptr.0) else {
+        let Some(slot) = self.regions.remove(&ptr.0) else {
             return Err(AllocError::InvalidFree { addr: ptr.0 });
         };
+        let region = self.slots[slot].take().expect("indexed slot is live");
+        self.vacant.push(slot);
+        for entry in &self.recent {
+            entry.take();
+        }
         let (start, len, tag) = (region.info.start, region.info.len, region.info.tag);
         self.stats.bytes_in_use -= len;
         self.stats.live_allocations -= 1;
@@ -616,8 +665,7 @@ impl DeviceMemory {
     pub fn free_by_tag(&mut self, tag: u32) -> usize {
         self.flush_tag_cache(tag);
         let starts: Vec<u64> = self
-            .regions
-            .values()
+            .live()
             .filter(|r| r.info.tag == tag)
             .map(|r| r.info.start)
             .collect();
@@ -631,16 +679,48 @@ impl DeviceMemory {
         n
     }
 
+    /// Live regions, address-ordered.
+    fn live(&self) -> impl Iterator<Item = &Region> + '_ {
+        self.regions
+            .values()
+            .map(|&slot| self.slots[slot].as_ref().expect("indexed slot is live"))
+    }
+
+    /// Slot of the live region containing `addr`: from the recent-region
+    /// cache when it holds the region, else by one tree search whose
+    /// answer enters the cache. Regions never overlap, so either way the
+    /// answer is the unique live region containing `addr`.
+    fn slot_of(&self, addr: u64) -> Option<usize> {
+        for entry in &self.recent {
+            let e = entry.get();
+            if addr.wrapping_sub(e.start) < e.len {
+                return Some(e.slot);
+            }
+        }
+        let (_, &slot) = self.regions.range(..=addr).next_back()?;
+        let r = self.slots[slot].as_ref().expect("indexed slot is live");
+        if !r.contains(addr) {
+            return None;
+        }
+        let next = self.recent_next.get();
+        self.recent[next].set(Recent {
+            start: r.info.start,
+            len: r.info.len,
+            slot,
+        });
+        self.recent_next.set((next + 1) % RECENT);
+        Some(slot)
+    }
+
     /// Look up the region containing `addr`.
     pub fn region_of(&self, addr: u64) -> Option<RegionInfo> {
-        let (_, region) = self.regions.range(..=addr).next_back()?;
-        let info = region.info;
-        (addr < info.start + info.len).then_some(info)
+        let slot = self.slot_of(addr)?;
+        self.slots[slot].as_ref().map(|r| r.info)
     }
 
     /// All live regions, address-ordered.
     pub fn live_regions(&self) -> Vec<RegionInfo> {
-        self.regions.values().map(|r| r.info).collect()
+        self.live().map(|r| r.info).collect()
     }
 
     /// Check every allocator invariant, returning a description of the
@@ -688,8 +768,16 @@ impl DeviceMemory {
                 self.largest_free_block()
             ));
         }
+        // Slot storage: every slot is either indexed by exactly one live
+        // region or listed vacant.
+        if self.regions.len() + self.vacant.len() != self.slots.len()
+            || self.regions.values().any(|&s| self.slots[s].is_none())
+            || self.vacant.iter().any(|&s| self.slots[s].is_some())
+        {
+            return Err("region slots and the start index disagree".into());
+        }
         // Region accounting: bytes in use and per-tag sums.
-        let region_bytes: u64 = self.regions.values().map(|r| r.info.len).sum();
+        let region_bytes: u64 = self.live().map(|r| r.info.len).sum();
         if region_bytes != self.stats.bytes_in_use {
             return Err(format!(
                 "bytes_in_use {} != live region bytes {region_bytes}",
@@ -697,7 +785,7 @@ impl DeviceMemory {
             ));
         }
         let mut scan_tags: BTreeMap<u32, u64> = BTreeMap::new();
-        for r in self.regions.values() {
+        for r in self.live() {
             *scan_tags.entry(r.info.tag).or_insert(0) += r.info.len;
         }
         for (&tag, &bytes) in self.tag_bytes.iter() {
@@ -740,8 +828,7 @@ impl DeviceMemory {
         // The three owners tile the address space exactly: regions, free
         // holes, and parked blocks are disjoint and leave no gaps.
         let mut spans: Vec<(u64, u64)> = self
-            .regions
-            .values()
+            .live()
             .map(|r| (r.info.start, r.info.len))
             .chain(self.free_list.iter().copied())
             .chain(self.team_caches.values().flat_map(|c| {
@@ -768,56 +855,63 @@ impl DeviceMemory {
         Ok(())
     }
 
-    fn resolve(&self, addr: u64, size: u64) -> Result<(u64, u64), AccessError> {
+    /// Resolve a `size`-byte access at `addr` to the slot of its region,
+    /// checking, in order: null, unmapped, overrun of the region end,
+    /// reserved (accounting-only) backing.
+    fn resolve(&self, addr: u64, size: u64) -> Result<usize, AccessError> {
         if addr == 0 {
             return Err(AccessError::Null);
         }
-        let (start, region) = self
-            .regions
-            .range(..=addr)
-            .next_back()
-            .ok_or(AccessError::Unmapped { addr })?;
-        let info = &region.info;
-        if addr >= info.start + info.len {
-            return Err(AccessError::Unmapped { addr });
-        }
-        if addr + size > info.start + info.len {
+        let slot = self.slot_of(addr).ok_or(AccessError::Unmapped { addr })?;
+        let region = self.slots[slot].as_ref().expect("resolved slot is live");
+        let end = region.info.start + region.info.len;
+        if size > end - addr {
             return Err(AccessError::OutOfBounds {
                 addr,
                 size,
-                region_end: info.start + info.len,
+                region_end: end,
             });
         }
         if region.data.is_none() {
             return Err(AccessError::Reserved { addr });
         }
-        Ok((*start, addr - start))
+        Ok(slot)
     }
 
     /// Load a scalar from device memory.
     pub fn load<T: Scalar>(&self, ptr: DevicePtr) -> Result<T, AccessError> {
-        let (start, off) = self.resolve(ptr.0, T::SIZE as u64)?;
-        let data = self.regions[&start]
-            .data
-            .as_ref()
-            .expect("resolved materialized");
-        let off = off as usize;
-        Ok(T::load_le(&data[off..off + T::SIZE]))
+        self.load_hit(ptr).map(|(v, _)| v)
     }
 
     /// Store a scalar to device memory.
     pub fn store<T: Scalar>(&mut self, ptr: DevicePtr, v: T) -> Result<(), AccessError> {
-        let (start, off) = self.resolve(ptr.0, T::SIZE as u64)?;
-        let data = self
-            .regions
-            .get_mut(&start)
-            .expect("resolved region exists")
-            .data
-            .as_mut()
-            .expect("resolved materialized");
-        let off = off as usize;
+        self.store_hit(ptr, v).map(|_| ())
+    }
+
+    /// [`DeviceMemory::load`] that also reports the region the access
+    /// resolved to — one region resolution for both, so the functional
+    /// executor can attribute the access without searching again.
+    pub fn load_hit<T: Scalar>(&self, ptr: DevicePtr) -> Result<(T, RegionInfo), AccessError> {
+        let slot = self.resolve(ptr.0, T::SIZE as u64)?;
+        let region = self.slots[slot].as_ref().expect("resolved slot is live");
+        let data = region.data.as_ref().expect("resolved materialized");
+        let off = (ptr.0 - region.info.start) as usize;
+        Ok((T::load_le(&data[off..off + T::SIZE]), region.info))
+    }
+
+    /// [`DeviceMemory::store`] that also reports the region the access
+    /// resolved to — one region resolution for both.
+    pub fn store_hit<T: Scalar>(
+        &mut self,
+        ptr: DevicePtr,
+        v: T,
+    ) -> Result<RegionInfo, AccessError> {
+        let slot = self.resolve(ptr.0, T::SIZE as u64)?;
+        let region = self.slots[slot].as_mut().expect("resolved slot is live");
+        let off = (ptr.0 - region.info.start) as usize;
+        let data = region.data.as_mut().expect("resolved materialized");
         v.store_le(&mut data[off..off + T::SIZE]);
-        Ok(())
+        Ok(region.info)
     }
 
     /// Copy a typed slice from host to device.
@@ -957,6 +1051,70 @@ mod tests {
             mem.load::<u32>(DevicePtr(HEAP_BASE + 5000)),
             Err(AccessError::Unmapped { .. })
         ));
+    }
+
+    /// Every load/store error, in precedence order — null, unmapped,
+    /// overrun of the region end, reserved backing — with its exact
+    /// payload, and the region a successful access reports.
+    #[test]
+    fn access_errors_in_precedence_order() {
+        let mut mem = DeviceMemory::new(1 << 20);
+        let p = mem.alloc_tagged(16, Backing::Materialized, 3).unwrap();
+        // First fit: the reserved region starts right at `p`'s end.
+        let r = mem.alloc_tagged(256, Backing::Reserved, 4).unwrap();
+        assert_eq!(r.0, p.0 + 256);
+        assert_eq!(mem.load::<u64>(NULL_DEVICE_PTR), Err(AccessError::Null));
+        assert_eq!(mem.store::<u8>(NULL_DEVICE_PTR, 1), Err(AccessError::Null));
+        let below = HEAP_BASE - 1;
+        assert_eq!(
+            mem.load::<u8>(DevicePtr(below)),
+            Err(AccessError::Unmapped { addr: below })
+        );
+        // The last byte of a region is accessible, and reports its region.
+        let last = p.byte_add(255);
+        mem.store::<u8>(last, 0xab).unwrap();
+        let hit = mem.region_of(p.0).unwrap();
+        assert_eq!((hit.start, hit.len, hit.tag), (p.0, 256, 3));
+        assert_eq!(mem.load_hit::<u8>(last), Ok((0xab, hit)));
+        assert_eq!(mem.store_hit::<u8>(last, 0xcd), Ok(hit));
+        // A wider access there overruns the region end, even though the
+        // next region begins at that very byte.
+        assert_eq!(
+            mem.load::<u16>(last),
+            Err(AccessError::OutOfBounds {
+                addr: last.0,
+                size: 2,
+                region_end: r.0
+            })
+        );
+        assert_eq!(
+            mem.store::<u64>(p.byte_add(250), 0),
+            Err(AccessError::OutOfBounds {
+                addr: p.0 + 250,
+                size: 8,
+                region_end: r.0
+            })
+        );
+        // Reserved backing is refused in bounds; an overrun of a reserved
+        // region is reported as the overrun.
+        assert_eq!(mem.load::<u32>(r), Err(AccessError::Reserved { addr: r.0 }));
+        assert_eq!(
+            mem.store::<u16>(r.byte_add(255), 0),
+            Err(AccessError::OutOfBounds {
+                addr: r.0 + 255,
+                size: 2,
+                region_end: r.0 + 256
+            })
+        );
+        let past = r.0 + 256;
+        assert_eq!(
+            mem.load::<u8>(DevicePtr(past)),
+            Err(AccessError::Unmapped { addr: past })
+        );
+        // A freed region stops resolving even right after an access to it
+        // primed the recent-region cache.
+        mem.free(p).unwrap();
+        assert_eq!(mem.load::<u8>(p), Err(AccessError::Unmapped { addr: p.0 }));
     }
 
     #[test]

@@ -22,7 +22,7 @@ mod heap;
 mod scalar;
 mod transfer;
 
-pub use coalesce::{coalesce, coalesce_strided, CoalesceResult, SECTOR_BYTES};
+pub use coalesce::{coalesce, coalesce_row, coalesce_strided, CoalesceResult, SECTOR_BYTES};
 pub use heap::{
     AccessError, AllocError, Backing, DeviceMemory, DevicePtr, HeapStats, RegionId, RegionInfo,
     NULL_DEVICE_PTR,

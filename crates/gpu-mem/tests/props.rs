@@ -2,9 +2,48 @@
 //! two-level heap allocator's invariants.
 
 use gpu_mem::{
-    coalesce, coalesce_strided, AllocError, Backing, DeviceMemory, DevicePtr, SECTOR_BYTES,
+    coalesce, coalesce_row, coalesce_strided, AccessError, AllocError, Backing, DeviceMemory,
+    DevicePtr, RegionInfo, SECTOR_BYTES,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+
+/// Sort-and-deduplicate reference coalescer: (sectors, lines, useful bytes).
+fn coalesce_reference(active: &[u64], size: u32) -> (u32, u32, u64) {
+    let mut sectors = BTreeSet::new();
+    let mut lines = BTreeSet::new();
+    for &a in active {
+        let end = a + u64::from(size) - 1;
+        sectors.extend(a / SECTOR_BYTES..=end / SECTOR_BYTES);
+        lines.extend(a / 128..=end / 128);
+    }
+    let useful = active.len() as u64 * u64::from(size);
+    (sectors.len() as u32, lines.len() as u32, useful)
+}
+
+/// The region containing `addr` and the access's expected outcome, by a
+/// linear scan of the live regions — the reference for resolution.
+fn resolve_reference(mem: &DeviceMemory, addr: u64, size: u64) -> Result<RegionInfo, AccessError> {
+    if addr == 0 {
+        return Err(AccessError::Null);
+    }
+    let r = mem
+        .live_regions()
+        .into_iter()
+        .find(|r| r.start <= addr && addr < r.start + r.len)
+        .ok_or(AccessError::Unmapped { addr })?;
+    if addr + size > r.start + r.len {
+        return Err(AccessError::OutOfBounds {
+            addr,
+            size,
+            region_end: r.start + r.len,
+        });
+    }
+    if r.backing == Backing::Reserved {
+        return Err(AccessError::Reserved { addr });
+    }
+    Ok(r)
+}
 
 proptest! {
     /// Live allocations never overlap and stay inside the heap, across an
@@ -70,6 +109,72 @@ proptest! {
         prop_assert!(r.sectors as u64 <= 2 * lanes.len() as u64);
         prop_assert!(r.moved_bytes >= r.useful_bytes);
         prop_assert_eq!(r.moved_bytes, r.sectors as u64 * SECTOR_BYTES);
+    }
+
+    /// The allocation-free coalescer (streaming pass for ascending lanes,
+    /// stack-buffer sort otherwise, general path past a warp or a sector)
+    /// equals the sort-and-deduplicate reference: arbitrary and ascending
+    /// addresses, inactive lanes, sizes 1 to 64 and sector-straddling
+    /// accesses, both as `Option` lanes and as `0`-marked rows.
+    #[test]
+    fn coalesce_matches_sort_dedup_reference(
+        lanes in prop::collection::vec((any::<bool>(), 1u64..4096), 0..40),
+        ascending in any::<bool>(),
+        wide in any::<bool>(),
+        size in prop::sample::select(vec![1u32, 2, 4, 8, 16, 32, 64]),
+    ) {
+        let base = if wide { 0x7000_0000_0000 } else { 0 };
+        let mut lanes: Vec<(bool, u64)> = lanes.into_iter().map(|(on, a)| (on, base + a)).collect();
+        if ascending {
+            lanes.sort_by_key(|&(_, a)| a);
+        }
+        let active: Vec<u64> = lanes.iter().filter(|l| l.0).map(|l| l.1).collect();
+        let (sectors, lines, useful) = coalesce_reference(&active, size);
+        let opts: Vec<Option<u64>> = lanes.iter().map(|&(on, a)| on.then_some(a)).collect();
+        let row: Vec<u64> = lanes.iter().map(|&(on, a)| if on { a } else { 0 }).collect();
+        for r in [coalesce(&opts, size), coalesce_row(&row, size)] {
+            prop_assert_eq!((r.sectors, r.lines, r.useful_bytes), (sectors, lines, useful));
+            prop_assert_eq!(r.moved_bytes, u64::from(sectors) * SECTOR_BYTES);
+        }
+    }
+
+    /// Region resolution (recent-region cache, then the tree) agrees with
+    /// a linear scan of the live regions on every probe — hit region,
+    /// error and payload — across interleaved allocs, frees and accesses
+    /// cycling through more regions than the cache holds.
+    #[test]
+    fn resolution_matches_linear_scan(
+        ops in prop::collection::vec((0u8..4, 1u64..3000, any::<u64>()), 1..150),
+    ) {
+        let mut mem = DeviceMemory::new(1 << 22);
+        let mut live: Vec<DevicePtr> = Vec::new();
+        for (op, n, pick) in ops {
+            match op {
+                0 => {
+                    let backing = if n % 5 == 0 { Backing::Reserved } else { Backing::Materialized };
+                    if let Ok(p) = mem.alloc_tagged(n, backing, (n % 3) as u32) {
+                        live.push(p);
+                    }
+                }
+                1 if !live.is_empty() => {
+                    let p = live.swap_remove((pick % live.len() as u64) as usize);
+                    mem.free(p).unwrap();
+                }
+                _ => {
+                    // Probe near a live region (or a freed one's old spot).
+                    let anchor = live.get((pick % 16) as usize).map_or(0x7000_0000_0000, |p| p.0);
+                    let addr = (anchor + n).saturating_sub(pick % 512);
+                    let want8 = resolve_reference(&mem, addr, 8);
+                    let got8 = mem.store_hit::<u64>(DevicePtr(addr), pick);
+                    prop_assert_eq!(got8, want8.clone());
+                    let want1 = resolve_reference(&mem, addr, 1);
+                    prop_assert_eq!(mem.load_hit::<u8>(DevicePtr(addr)).map(|(_, h)| h), want1);
+                    if want8.is_ok() {
+                        prop_assert_eq!(mem.load::<u64>(DevicePtr(addr)), Ok(pick));
+                    }
+                }
+            }
+        }
     }
 
     /// Coalescing is monotone in stride: a larger stride never touches

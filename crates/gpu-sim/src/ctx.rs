@@ -1,5 +1,7 @@
 use crate::trace::{MixedSeg, Phase, TeamTrace};
-use gpu_mem::{coalesce, AccessError, AllocError, DeviceMemory, DevicePtr, Scalar};
+use gpu_mem::{
+    coalesce, coalesce_row, AccessError, AllocError, DeviceMemory, DevicePtr, RegionInfo, Scalar,
+};
 
 /// Hook through which device code reaches the host (RPC). The offload
 /// runtime installs an implementation backed by `host-rpc`; `service` keys
@@ -97,36 +99,210 @@ impl<T> SharedBuf<T> {
     }
 }
 
-/// One memory-access record inside a single iteration.
-#[derive(Debug, Clone, Copy)]
-struct Rec {
-    addr: u64,
-    size: u8,
-}
+/// Lanes per warp.
+const WARP: usize = 32;
 
-/// Per-lane scratch state for the current round of a parallel phase.
-#[derive(Debug, Default)]
-struct LaneScratch {
-    recs: Vec<Rec>,
-    /// Shared-memory byte offsets accessed this round, in program order
-    /// (for bank-conflict analysis).
-    shared_recs: Vec<u32>,
+/// Marks an inactive lane in a shared-memory record row. Offsets are
+/// bounded by the per-block shared-memory limit, far below it.
+const NO_SHARED: u32 = u32::MAX;
+
+/// One lane's counters for the current round of a parallel phase.
+#[derive(Debug, Default, Clone, Copy)]
+struct LaneStats {
     insts: f64,
     rpc: u64,
     /// Device-heap allocator operations issued by this lane this round.
     alloc_ops: f64,
     /// The subset of `alloc_ops` served from a per-team free list.
     alloc_fast_ops: f64,
+    /// Global accesses recorded this round: the lane's next record row.
+    global: u32,
+    /// Shared accesses recorded this round.
+    shared: u32,
 }
 
-impl LaneScratch {
+/// One warp's access records for the current round of a parallel phase,
+/// struct-of-arrays: row `k` of a record matrix holds the `k`-th access of
+/// every lane (`k * WARP + lane`), so the fold reads each warp-wide access
+/// as one contiguous row.
+#[derive(Debug, Default)]
+struct WarpRecs {
+    lanes: [LaneStats; WARP],
+    /// Global-access addresses; `0` marks a lane without a `k`-th access.
+    addrs: Vec<u64>,
+    /// Per row: the widest access of the row, in bytes.
+    row_size: Vec<u32>,
+    /// Per row: the region of the row's first active lane. Lanes run in
+    /// ascending order, so the lane that opens a row is that lane.
+    row_region: Vec<RegionInfo>,
+    /// Shared-memory byte offsets; [`NO_SHARED`] marks an inactive lane.
+    shared: Vec<u32>,
+}
+
+impl WarpRecs {
     fn clear(&mut self) {
-        self.recs.clear();
-        self.shared_recs.clear();
-        self.insts = 0.0;
-        self.rpc = 0;
-        self.alloc_ops = 0.0;
-        self.alloc_fast_ops = 0.0;
+        self.lanes = Default::default();
+        self.addrs.clear();
+        self.row_size.clear();
+        self.row_region.clear();
+        self.shared.clear();
+    }
+
+    fn global(&mut self, lane: usize, addr: u64, size: u32, hit: RegionInfo) {
+        let k = self.lanes[lane].global as usize;
+        self.lanes[lane].global += 1;
+        if k == self.row_size.len() {
+            self.addrs.extend_from_slice(&[0; WARP]);
+            self.row_size.push(size);
+            self.row_region.push(hit);
+        } else {
+            self.row_size[k] = self.row_size[k].max(size);
+        }
+        self.addrs[k * WARP + lane] = addr;
+    }
+
+    fn shared(&mut self, lane: usize, off: u32) {
+        let k = self.lanes[lane].shared as usize;
+        self.lanes[lane].shared += 1;
+        if k * WARP == self.shared.len() {
+            self.shared.extend_from_slice(&[NO_SHARED; WARP]);
+        }
+        self.shared[k * WARP + lane] = off;
+    }
+
+    /// Fold this warp's round — `lanes` lanes wide — into its phase
+    /// accumulator. Lockstep lanes issue for as long as the slowest; the
+    /// `k`-th accesses of all lanes coalesce together. `relookup` is the
+    /// live heap when a region was freed during the round: rows are then
+    /// attributed to whatever region holds their address *now*, which a
+    /// freed region no longer does.
+    fn fold(&self, lanes: usize, accum: &mut MixedSeg, relookup: Option<&DeviceMemory>) {
+        let mut max_insts = 0.0f64;
+        let mut rpc = 0u64;
+        let mut alloc_ops = 0.0f64;
+        let mut alloc_fast_ops = 0.0f64;
+        for s in &self.lanes[..lanes] {
+            max_insts = max_insts.max(s.insts);
+            rpc += s.rpc;
+            alloc_ops += s.alloc_ops;
+            alloc_fast_ops += s.alloc_fast_ops;
+        }
+        accum.insts += max_insts;
+        accum.rpc_calls += rpc;
+        accum.alloc_ops += alloc_ops;
+        accum.alloc_fast_ops += alloc_fast_ops;
+
+        // Shared memory: a warp access replays once per conflicting bank;
+        // charge the extra replays as issue work.
+        for row in self.shared.chunks_exact(WARP) {
+            let mut offsets = [0u32; WARP];
+            let mut n = 0;
+            for &off in row.iter().filter(|&&off| off != NO_SHARED) {
+                offsets[n] = off;
+                n += 1;
+            }
+            accum.insts += (bank_conflict_degree(&offsets[..n]) - 1) as f64;
+        }
+
+        // Global memory: positional coalescing across lanes.
+        let mut last = None;
+        for (k, row) in self.addrs.chunks_exact(WARP).enumerate() {
+            let r = coalesce_row(row, self.row_size[k]);
+            accum.sectors += r.sectors as u64;
+            accum.moved_bytes += r.moved_bytes as f64;
+            accum.useful_bytes += r.useful_bytes as f64;
+            let hit = match relookup {
+                None => Some(self.row_region[k]),
+                Some(mem) => row
+                    .iter()
+                    .find(|&&a| a != 0)
+                    .and_then(|&a| mem.region_of(a)),
+            };
+            attribute(accum, &mut last, hit);
+        }
+    }
+}
+
+/// A serial section's records. A lone lane's accesses each coalesce
+/// alone, so they fold into the segment as they happen.
+#[derive(Debug, Default)]
+struct SerialRecs {
+    seg: MixedSeg,
+    /// Every global access address, in program order — consulted only
+    /// when a region was freed during the section.
+    addrs: Vec<u64>,
+    /// Region of the previous access.
+    last: Option<RegionInfo>,
+}
+
+/// Where a lane's records go.
+enum Sink<'t> {
+    Serial(&'t mut SerialRecs),
+    Lane(&'t mut WarpRecs, usize),
+}
+
+impl Sink<'_> {
+    fn insts(&mut self, n: f64) {
+        match self {
+            Sink::Serial(s) => s.seg.insts += n,
+            Sink::Lane(w, l) => w.lanes[*l].insts += n,
+        }
+    }
+
+    fn global(&mut self, addr: u64, size: usize, hit: RegionInfo) {
+        match self {
+            Sink::Serial(s) => {
+                let r = coalesce(&[Some(addr)], size as u32);
+                s.seg.sectors += r.sectors as u64;
+                s.seg.moved_bytes += r.moved_bytes as f64;
+                s.seg.useful_bytes += r.useful_bytes as f64;
+                s.addrs.push(addr);
+                attribute(&mut s.seg, &mut s.last, Some(hit));
+            }
+            Sink::Lane(w, l) => w.global(*l, addr, size as u32, hit),
+        }
+    }
+
+    fn shared(&mut self, off: usize) {
+        // A lone lane never conflicts with itself: serial sections charge
+        // no bank replays.
+        if let Sink::Lane(w, l) = self {
+            w.shared(*l, off as u32);
+        }
+    }
+
+    fn rpc(&mut self) {
+        match self {
+            Sink::Serial(s) => s.seg.rpc_calls += 1,
+            Sink::Lane(w, l) => w.lanes[*l].rpc += 1,
+        }
+    }
+
+    fn alloc_op(&mut self, fast: bool) {
+        let fast = if fast { 1.0 } else { 0.0 };
+        match self {
+            Sink::Serial(s) => {
+                s.seg.alloc_ops += 1.0;
+                s.seg.alloc_fast_ops += fast;
+            }
+            Sink::Lane(w, l) => {
+                w.lanes[*l].alloc_ops += 1.0;
+                w.lanes[*l].alloc_fast_ops += fast;
+            }
+        }
+    }
+}
+
+/// Attribute an access to its region's heap tag and L2 footprint. `last`
+/// is the previously attributed region: a run of accesses to one region
+/// is attributed once (re-adding is a no-op anyway).
+fn attribute(seg: &mut MixedSeg, last: &mut Option<RegionInfo>, hit: Option<RegionInfo>) {
+    if let Some(hit) = hit {
+        if *last != Some(hit) {
+            seg.add_region_tag(hit.tag);
+            seg.add_region_footprint(hit.start, hit.len);
+            *last = Some(hit);
+        }
     }
 }
 
@@ -137,20 +313,14 @@ const SHARED_BANKS: u32 = 32;
 /// number of *distinct addresses* mapped to the same bank. Lanes reading
 /// the same address broadcast and do not conflict.
 fn bank_conflict_degree(offsets: &[u32]) -> u32 {
-    let mut per_bank: [Vec<u32>; SHARED_BANKS as usize] = Default::default();
-    for &off in offsets {
-        let bank = ((off / 4) % SHARED_BANKS) as usize;
+    let mut distinct = [0u32; SHARED_BANKS as usize];
+    for (i, &off) in offsets.iter().enumerate() {
         let word = off / 4;
-        if !per_bank[bank].contains(&word) {
-            per_bank[bank].push(word);
+        if !offsets[..i].iter().any(|&o| o / 4 == word) {
+            distinct[(word % SHARED_BANKS) as usize] += 1;
         }
     }
-    per_bank
-        .iter()
-        .map(|b| b.len() as u32)
-        .max()
-        .unwrap_or(0)
-        .max(1)
+    distinct.into_iter().max().unwrap_or(0).max(1)
 }
 
 /// State shared between the team and its lanes during functional execution.
@@ -163,34 +333,9 @@ struct TeamInner<'g> {
     shared: Vec<u8>,
     shared_limit: u64,
     default_tag: u32,
-    /// Snapshot of live regions: (start, end, tag, len), sorted by start.
-    snapshot: Vec<(u64, u64, u32, u64)>,
-    snapshot_gen: u64,
-}
-
-impl<'g> TeamInner<'g> {
-    fn refresh_snapshot(&mut self) {
-        if self.snapshot_gen == self.mem.generation() && !self.snapshot.is_empty() {
-            return;
-        }
-        self.snapshot = self
-            .mem
-            .live_regions()
-            .into_iter()
-            .map(|r| (r.start, r.start + r.len, r.tag, r.len))
-            .collect();
-        self.snapshot_gen = self.mem.generation();
-    }
-
-    /// Region (tag, start, len) containing `addr`, from the snapshot.
-    fn region_meta(&self, addr: u64) -> Option<(u32, u64, u64)> {
-        let idx = self.snapshot.partition_point(|&(s, _, _, _)| s <= addr);
-        if idx == 0 {
-            return None;
-        }
-        let (s, e, tag, len) = self.snapshot[idx - 1];
-        (addr < e).then_some((tag, s, len))
-    }
+    /// A region was freed since the current round or serial section
+    /// began, so the regions recorded with its accesses may be stale.
+    freed: bool,
 }
 
 /// The execution context handed to one lane (thread) of a team.
@@ -200,7 +345,7 @@ impl<'g> TeamInner<'g> {
 /// analysis; arithmetic is accounted through [`LaneCtx::work`].
 pub struct LaneCtx<'t, 'g> {
     inner: &'t mut TeamInner<'g>,
-    scratch: &'t mut LaneScratch,
+    sink: Sink<'t>,
 }
 
 impl<'t, 'g> LaneCtx<'t, 'g> {
@@ -212,23 +357,17 @@ impl<'t, 'g> LaneCtx<'t, 'g> {
 
     /// Load a scalar from global memory.
     pub fn ld<T: Scalar>(&mut self, p: DevicePtr) -> Result<T, KernelError> {
-        let v = self.inner.mem.load::<T>(p)?;
-        self.scratch.recs.push(Rec {
-            addr: p.0,
-            size: T::SIZE as u8,
-        });
-        self.scratch.insts += cost::MEM_OP;
+        let (v, hit) = self.inner.mem.load_hit::<T>(p)?;
+        self.sink.global(p.0, T::SIZE, hit);
+        self.sink.insts(cost::MEM_OP);
         Ok(v)
     }
 
     /// Store a scalar to global memory.
     pub fn st<T: Scalar>(&mut self, p: DevicePtr, v: T) -> Result<(), KernelError> {
-        self.inner.mem.store::<T>(p, v)?;
-        self.scratch.recs.push(Rec {
-            addr: p.0,
-            size: T::SIZE as u8,
-        });
-        self.scratch.insts += cost::MEM_OP;
+        let hit = self.inner.mem.store_hit::<T>(p, v)?;
+        self.sink.global(p.0, T::SIZE, hit);
+        self.sink.insts(cost::MEM_OP);
         Ok(())
     }
 
@@ -245,42 +384,32 @@ impl<'t, 'g> LaneCtx<'t, 'g> {
     /// Account `insts` warp instructions of arithmetic (FLOPs, ALU ops,
     /// branches) executed by this lane.
     pub fn work(&mut self, insts: f64) {
-        self.scratch.insts += insts;
+        self.sink.insts(insts);
     }
 
     /// Global-memory atomic add on an `f64`; returns the previous value.
     pub fn atomic_add_f64(&mut self, p: DevicePtr, v: f64) -> Result<f64, KernelError> {
         let old = self.inner.mem.load::<f64>(p)?;
-        self.inner.mem.store::<f64>(p, old + v)?;
-        self.scratch.recs.push(Rec { addr: p.0, size: 8 });
-        self.scratch.insts += cost::MEM_OP + cost::ATOMIC_EXTRA;
+        let hit = self.inner.mem.store_hit::<f64>(p, old + v)?;
+        self.sink.global(p.0, 8, hit);
+        self.sink.insts(cost::MEM_OP + cost::ATOMIC_EXTRA);
         Ok(old)
     }
 
     /// Global-memory atomic add on a `u64`; returns the previous value.
     pub fn atomic_add_u64(&mut self, p: DevicePtr, v: u64) -> Result<u64, KernelError> {
         let old = self.inner.mem.load::<u64>(p)?;
-        self.inner.mem.store::<u64>(p, old.wrapping_add(v))?;
-        self.scratch.recs.push(Rec { addr: p.0, size: 8 });
-        self.scratch.insts += cost::MEM_OP + cost::ATOMIC_EXTRA;
+        let hit = self.inner.mem.store_hit::<u64>(p, old.wrapping_add(v))?;
+        self.sink.global(p.0, 8, hit);
+        self.sink.insts(cost::MEM_OP + cost::ATOMIC_EXTRA);
         Ok(old)
     }
 
     /// Allocate `bytes` of device-heap memory, tagged with this team's tag.
     /// This is the primitive `device-libc`'s `malloc` is built on.
     pub fn dev_alloc(&mut self, bytes: u64) -> Result<DevicePtr, KernelError> {
-        let tag = self.inner.default_tag;
-        let recycled_before = self.inner.mem.stats().recycled_allocations;
-        let p = self
-            .inner
-            .mem
-            .alloc_tagged(bytes, gpu_mem::Backing::Materialized, tag)?;
-        self.scratch.insts += cost::MALLOC;
-        self.scratch.alloc_ops += 1.0;
-        if self.inner.mem.stats().recycled_allocations > recycled_before {
-            self.scratch.alloc_fast_ops += 1.0;
-        }
-        self.inner.refresh_snapshot();
+        let p = self.alloc(bytes, gpu_mem::Backing::Materialized)?;
+        self.sink.insts(cost::MALLOC);
         Ok(p)
     }
 
@@ -289,26 +418,24 @@ impl<'t, 'g> LaneCtx<'t, 'g> {
     /// footprint (for out-of-memory behaviour) while running functionally
     /// on scaled-down materialized arrays.
     pub fn dev_reserve(&mut self, bytes: u64) -> Result<DevicePtr, KernelError> {
-        let tag = self.inner.default_tag;
-        let recycled_before = self.inner.mem.stats().recycled_allocations;
-        let p = self
-            .inner
-            .mem
-            .alloc_tagged(bytes, gpu_mem::Backing::Reserved, tag)?;
-        self.scratch.alloc_ops += 1.0;
-        if self.inner.mem.stats().recycled_allocations > recycled_before {
-            self.scratch.alloc_fast_ops += 1.0;
-        }
-        self.inner.refresh_snapshot();
+        self.alloc(bytes, gpu_mem::Backing::Reserved)
+    }
+
+    fn alloc(&mut self, bytes: u64, backing: gpu_mem::Backing) -> Result<DevicePtr, KernelError> {
+        let mem = &mut *self.inner.mem;
+        let recycled_before = mem.stats().recycled_allocations;
+        let p = mem.alloc_tagged(bytes, backing, self.inner.default_tag)?;
+        let fast = mem.stats().recycled_allocations > recycled_before;
+        self.sink.alloc_op(fast);
         Ok(p)
     }
 
     /// Free device-heap memory allocated with [`LaneCtx::dev_alloc`].
     pub fn dev_free(&mut self, p: DevicePtr) -> Result<(), KernelError> {
         self.inner.mem.free(p)?;
-        self.scratch.insts += cost::MALLOC;
-        self.scratch.alloc_ops += 1.0;
-        self.inner.refresh_snapshot();
+        self.inner.freed = true;
+        self.sink.insts(cost::MALLOC);
+        self.sink.alloc_op(false);
         Ok(())
     }
 
@@ -316,8 +443,8 @@ impl<'t, 'g> LaneCtx<'t, 'g> {
     pub fn sh_ld<T: Scalar>(&mut self, buf: &SharedBuf<T>, i: usize) -> Result<T, KernelError> {
         assert!(i < buf.len, "shared read at {i} past length {}", buf.len);
         let off = buf.offset + i * T::SIZE;
-        self.scratch.insts += cost::SHARED_OP;
-        self.scratch.shared_recs.push(off as u32);
+        self.sink.insts(cost::SHARED_OP);
+        self.sink.shared(off);
         Ok(T::load_le(&self.inner.shared[off..off + T::SIZE]))
     }
 
@@ -330,8 +457,8 @@ impl<'t, 'g> LaneCtx<'t, 'g> {
     ) -> Result<(), KernelError> {
         assert!(i < buf.len, "shared write at {i} past length {}", buf.len);
         let off = buf.offset + i * T::SIZE;
-        self.scratch.insts += cost::SHARED_OP;
-        self.scratch.shared_recs.push(off as u32);
+        self.sink.insts(cost::SHARED_OP);
+        self.sink.shared(off);
         v.store_le(&mut self.inner.shared[off..off + T::SIZE]);
         Ok(())
     }
@@ -346,7 +473,7 @@ impl<'t, 'g> LaneCtx<'t, 'g> {
         let Some(hook) = self.inner.host_call.as_mut() else {
             return Err(KernelError::HostCallUnavailable { service });
         };
-        self.scratch.rpc += 1;
+        self.sink.rpc();
         hook(service, payload).map_err(KernelError::HostCallFailed)
     }
 }
@@ -365,7 +492,8 @@ pub struct TeamCtx<'g> {
     team_id: u32,
     num_teams: u32,
     lane_count: u32,
-    scratches: Vec<LaneScratch>,
+    warps: Vec<WarpRecs>,
+    serial: SerialRecs,
     error: Option<KernelError>,
 }
 
@@ -381,18 +509,16 @@ impl<'g> TeamCtx<'g> {
         shared_limit: u64,
     ) -> Self {
         assert!(lane_count >= 1, "a team needs at least one thread");
-        let warp_count = lane_count.div_ceil(32);
-        let mut inner = TeamInner {
+        let warp_count = lane_count.div_ceil(WARP as u32);
+        let inner = TeamInner {
             mem,
             host_call: None,
             rpc_services: None,
             shared: Vec::new(),
             shared_limit,
             default_tag,
-            snapshot: Vec::new(),
-            snapshot_gen: u64::MAX,
+            freed: false,
         };
-        inner.refresh_snapshot();
         let mut trace = TeamTrace {
             phases: Vec::new(),
             warp_count,
@@ -413,7 +539,8 @@ impl<'g> TeamCtx<'g> {
             team_id,
             num_teams,
             lane_count,
-            scratches: (0..lane_count).map(|_| LaneScratch::default()).collect(),
+            warps: (0..warp_count).map(|_| WarpRecs::default()).collect(),
+            serial: SerialRecs::default(),
             error: None,
         }
     }
@@ -477,16 +604,26 @@ impl<'g> TeamCtx<'g> {
         f: impl FnOnce(&mut LaneCtx<'_, 'g>) -> Result<R, KernelError>,
     ) -> Result<R, KernelError> {
         self.check_poisoned()?;
-        self.inner.refresh_snapshot();
-        self.scratches[0].clear();
+        self.inner.freed = false;
         let result = {
             let mut lane = LaneCtx {
                 inner: &mut self.inner,
-                scratch: &mut self.scratches[0],
+                sink: Sink::Serial(&mut self.serial),
             };
             f(&mut lane)
         };
-        let seg = Self::lone_lane_segment(&self.inner, &self.scratches[0]);
+        let mut seg = std::mem::take(&mut self.serial.seg);
+        if self.inner.freed {
+            // Attribute by the regions live at the end of the section.
+            seg.region_tags.clear();
+            seg.region_footprints.clear();
+            let mut last = None;
+            for &addr in &self.serial.addrs {
+                attribute(&mut seg, &mut last, self.inner.mem.region_of(addr));
+            }
+        }
+        self.serial.addrs.clear();
+        self.serial.last = None;
         let mut warps = vec![MixedSeg::default(); self.trace.warp_count as usize];
         warps[0] = seg;
         self.trace.phases.push(Phase {
@@ -508,33 +645,37 @@ impl<'g> TeamCtx<'g> {
         mut f: impl FnMut(u64, &mut LaneCtx<'_, 'g>) -> Result<(), KernelError>,
     ) -> Result<(), KernelError> {
         self.check_poisoned()?;
-        self.inner.refresh_snapshot();
         let lanes = self.lane_count as u64;
-        let warp_count = self.trace.warp_count as usize;
-        let mut accums = vec![MixedSeg::default(); warp_count];
-        let rounds = trip.div_ceil(lanes.max(1));
+        let mut accums = vec![MixedSeg::default(); self.warps.len()];
+        let rounds = trip.div_ceil(lanes);
         let mut result: Result<(), KernelError> = Ok(());
 
         'rounds: for round in 0..rounds {
-            for s in self.scratches.iter_mut() {
-                s.clear();
+            self.inner.freed = false;
+            for w in self.warps.iter_mut() {
+                w.clear();
             }
             for lane in 0..lanes {
                 let i = round * lanes + lane;
                 if i >= trip {
                     break;
                 }
+                let lane = lane as usize;
                 let mut ctx = LaneCtx {
                     inner: &mut self.inner,
-                    scratch: &mut self.scratches[lane as usize],
+                    sink: Sink::Lane(&mut self.warps[lane / WARP], lane % WARP),
                 };
-                ctx.scratch.insts += cost::ITER_OVERHEAD;
+                ctx.sink.insts(cost::ITER_OVERHEAD);
                 if let Err(e) = f(i, &mut ctx) {
                     result = Err(e);
                     break 'rounds;
                 }
             }
-            self.fold_round(&mut accums);
+            let relookup = self.inner.freed.then_some(&*self.inner.mem);
+            for (w, (warp, accum)) in self.warps.iter().zip(&mut accums).enumerate() {
+                let warp_lanes = (self.lane_count as usize - w * WARP).min(WARP);
+                warp.fold(warp_lanes, accum, relookup);
+            }
         }
 
         self.trace.phases.push(Phase {
@@ -614,114 +755,16 @@ impl<'g> TeamCtx<'g> {
         }
         r
     }
-
-    /// Build the segment for a single working lane (serial regions): every
-    /// access coalesces alone.
-    fn lone_lane_segment(inner: &TeamInner<'g>, scratch: &LaneScratch) -> MixedSeg {
-        let mut seg = MixedSeg {
-            insts: scratch.insts,
-            rpc_calls: scratch.rpc,
-            alloc_ops: scratch.alloc_ops,
-            alloc_fast_ops: scratch.alloc_fast_ops,
-            ..Default::default()
-        };
-        for rec in &scratch.recs {
-            let r = coalesce(&[Some(rec.addr)], rec.size as u32);
-            seg.sectors += r.sectors as u64;
-            seg.moved_bytes += r.moved_bytes as f64;
-            seg.useful_bytes += r.useful_bytes as f64;
-            if let Some((tag, start, len)) = inner.region_meta(rec.addr) {
-                seg.add_region_tag(tag);
-                seg.add_region_footprint(start, len);
-            }
-        }
-        seg
-    }
-
-    /// Coalesce and fold one round's per-lane records into the phase's
-    /// warp accumulators. Lanes are grouped 32 to a warp; the k-th access
-    /// of each lane coalesces positionally (lockstep assumption).
-    fn fold_round(&mut self, accums: &mut [MixedSeg]) {
-        let lanes = self.lane_count as usize;
-        let mut addrs: Vec<Option<u64>> = Vec::with_capacity(32);
-        for (w, accum) in accums.iter_mut().enumerate() {
-            let lane_lo = w * 32;
-            let lane_hi = (lane_lo + 32).min(lanes);
-            if lane_lo >= lanes {
-                break;
-            }
-            let warp_scratches = &self.scratches[lane_lo..lane_hi];
-
-            // Compute: lockstep warps issue for as long as their slowest lane.
-            let mut max_insts = 0.0f64;
-            let mut rpc = 0u64;
-            let mut alloc_ops = 0.0f64;
-            let mut alloc_fast_ops = 0.0f64;
-            let mut max_recs = 0usize;
-            let mut max_shared_recs = 0usize;
-            for s in warp_scratches {
-                max_insts = max_insts.max(s.insts);
-                rpc += s.rpc;
-                alloc_ops += s.alloc_ops;
-                alloc_fast_ops += s.alloc_fast_ops;
-                max_recs = max_recs.max(s.recs.len());
-                max_shared_recs = max_shared_recs.max(s.shared_recs.len());
-            }
-            accum.insts += max_insts;
-            accum.rpc_calls += rpc;
-            accum.alloc_ops += alloc_ops;
-            accum.alloc_fast_ops += alloc_fast_ops;
-
-            // Shared memory: a warp access replays once per conflicting
-            // bank; charge the extra replays as issue work.
-            let mut bank_offsets: Vec<u32> = Vec::with_capacity(32);
-            for k in 0..max_shared_recs {
-                bank_offsets.clear();
-                for s in warp_scratches {
-                    if let Some(&off) = s.shared_recs.get(k) {
-                        bank_offsets.push(off);
-                    }
-                }
-                let degree = bank_conflict_degree(&bank_offsets);
-                accum.insts += (degree - 1) as f64;
-            }
-
-            // Memory: positional coalescing across lanes.
-            for k in 0..max_recs {
-                addrs.clear();
-                let mut size = 0u32;
-                let mut first_addr = None;
-                for s in warp_scratches {
-                    match s.recs.get(k) {
-                        Some(rec) => {
-                            addrs.push(Some(rec.addr));
-                            size = size.max(rec.size as u32);
-                            if first_addr.is_none() {
-                                first_addr = Some(rec.addr);
-                            }
-                        }
-                        None => addrs.push(None),
-                    }
-                }
-                let r = coalesce(&addrs, size);
-                accum.sectors += r.sectors as u64;
-                accum.moved_bytes += r.moved_bytes as f64;
-                accum.useful_bytes += r.useful_bytes as f64;
-                if let Some(addr) = first_addr {
-                    if let Some((tag, start, len)) = self.inner.region_meta(addr) {
-                        accum.add_region_tag(tag);
-                        accum.add_region_footprint(start, len);
-                    }
-                }
-            }
-        }
-    }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpu_mem::DeviceMemory;
+    use proptest::prelude::*;
 
     fn mem() -> DeviceMemory {
         DeviceMemory::new(1 << 24)
@@ -964,5 +1007,207 @@ mod tests {
         ctx.parallel_for("fill", 100, |i, lane| lane.st_idx::<f64>(buf, i, i as f64))
             .unwrap();
         assert_eq!(m.load::<f64>(buf.elem_add::<f64>(99)).unwrap(), 99.0);
+    }
+
+    /// splitmix64: the random programs' deterministic generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// One random operation of lane `i`: a global load or store of 1, 2, 4
+    /// or 8 bytes (lane-strided or at a random, possibly sector-straddling
+    /// offset), a shared access, arithmetic, or a device malloc/free —
+    /// including frees of regions this round or section already touched.
+    macro_rules! random_op {
+        ($lane:ident, $r:ident, $i:expr, $live:ident, $sh:ident) => {{
+            match $r.below(16) {
+                0..=8 if !$live.is_empty() => {
+                    let (p, len) = $live[$r.below($live.len() as u64) as usize];
+                    let size = 1u64 << $r.below(4);
+                    let off = if $r.below(2) == 0 {
+                        ($i % (len / size).max(1)) * size
+                    } else {
+                        $r.below(len - size + 1)
+                    };
+                    let p = p.byte_add(off.min(len - size));
+                    let store = $r.below(2) == 0;
+                    let v = $r.next();
+                    match (size, store) {
+                        (1, false) => $lane.ld::<u8>(p).map(drop),
+                        (2, false) => $lane.ld::<u16>(p).map(drop),
+                        (4, false) => $lane.ld::<u32>(p).map(drop),
+                        (_, false) => $lane.ld::<f64>(p).map(drop),
+                        (1, true) => $lane.st::<u8>(p, v as u8),
+                        (2, true) => $lane.st::<u16>(p, v as u16),
+                        (4, true) => $lane.st::<u32>(p, v as u32),
+                        (_, true) => $lane.st::<u64>(p, v),
+                    }
+                }
+                9 | 10 => {
+                    let idx = if $r.below(2) == 0 {
+                        $i as usize % $sh.len()
+                    } else {
+                        $r.below($sh.len() as u64) as usize
+                    };
+                    if $r.below(2) == 0 {
+                        $lane.sh_ld::<u32>(&$sh, idx).map(drop)
+                    } else {
+                        $lane.sh_st::<u32>(&$sh, idx, $i as u32)
+                    }
+                }
+                14 => {
+                    let len = 8 + $r.below(1500);
+                    $lane.dev_alloc(len).map(|p| $live.push((p, len)))
+                }
+                15 if $live.len() > 1 => {
+                    let (p, _) = $live.swap_remove($r.below($live.len() as u64) as usize);
+                    $lane.dev_free(p)
+                }
+                _ => {
+                    $lane.work($r.below(10) as f64);
+                    Ok(())
+                }
+            }
+        }};
+    }
+
+    /// Run the random program `seed` on `team` (either executor) and
+    /// return its trace.
+    macro_rules! run_random_program {
+        ($team:ident, $seed:expr, $live:expr) => {{
+            let mut rng = Rng($seed);
+            let sh = $team.shared_alloc::<u32>(96).unwrap();
+            let mut live: Vec<(DevicePtr, u64)> = $live;
+            for _ in 0..1 + rng.below(8) {
+                let seed = rng.next();
+                if rng.below(3) == 0 {
+                    let res = $team.serial("serial", |lane| {
+                        let mut r = Rng(seed);
+                        for _ in 0..r.below(60) {
+                            random_op!(lane, r, 0u64, live, sh)?;
+                        }
+                        Ok(())
+                    });
+                    res.expect("random programs never fault");
+                } else {
+                    let trip = rng.below(300);
+                    let res = $team.parallel_for("parallel", trip, |i, lane| {
+                        let mut r = Rng(seed ^ i.wrapping_mul(0x2545_f491_4f6c_dd1d));
+                        for _ in 0..r.below(8) {
+                            random_op!(lane, r, i, live, sh)?;
+                        }
+                        Ok(())
+                    });
+                    res.expect("random programs never fault");
+                }
+            }
+            $team.finish()
+        }};
+    }
+
+    /// A heap with a few pre-existing regions of other tags, as a team
+    /// finds it under ensemble execution.
+    fn seeded_heap(free_lists: bool) -> (DeviceMemory, Vec<(DevicePtr, u64)>) {
+        let mut m = DeviceMemory::new(1 << 22);
+        m.set_free_lists(free_lists);
+        let live = [(4096, 1), (1000, 2), (300, 7)]
+            .into_iter()
+            .map(|(len, tag)| {
+                let p = m
+                    .alloc_tagged(len, gpu_mem::Backing::Materialized, tag)
+                    .unwrap();
+                (p, len)
+            })
+            .collect();
+        (m, live)
+    }
+
+    proptest! {
+        /// The record-and-fold hot path is bit-identical to the original
+        /// executor on arbitrary programs: every segment field of every
+        /// phase, for any lane count (partial warps included), access mix,
+        /// and mallocs/frees inside rounds and serial sections.
+        #[test]
+        fn fold_matches_the_original_executor(
+            seed in any::<u64>(),
+            lanes in prop::sample::select(vec![1u32, 5, 32, 33, 64, 100]),
+            free_lists in any::<bool>(),
+        ) {
+            let (mut m1, live) = seeded_heap(free_lists);
+            let mut team = TeamCtx::new(&mut m1, 0, 1, lanes, 3, 48 << 10);
+            let fast = run_random_program!(team, seed, live);
+            let (mut m2, live) = seeded_heap(free_lists);
+            let mut team = oracle::TeamCtx::new(&mut m2, lanes, 3);
+            let reference = run_random_program!(team, seed, live);
+            prop_assert_eq!(fast, reference);
+        }
+
+        /// The fixed-array bank-conflict degree equals the per-bank vector
+        /// reference, broadcasts and partial warps included.
+        #[test]
+        fn bank_conflict_degree_matches_reference(
+            offsets in prop::collection::vec(0u32..1024, 0..33),
+        ) {
+            prop_assert_eq!(
+                bank_conflict_degree(&offsets),
+                oracle::bank_conflict_degree(&offsets)
+            );
+        }
+    }
+
+    /// A region freed later in the same serial section or round
+    /// contributes no tag and no footprint — the original executor
+    /// attributed accesses by the regions live when the records were
+    /// folded.
+    #[test]
+    fn region_freed_in_the_same_section_is_not_attributed() {
+        let mut m = mem();
+        let keep = m
+            .alloc_tagged(256, gpu_mem::Backing::Materialized, 4)
+            .unwrap();
+        let mut ctx = TeamCtx::new(&mut m, 0, 1, 32, 9, 48 << 10);
+        ctx.serial("churn", |lane| {
+            let tmp = lane.dev_alloc(512)?;
+            lane.st::<u64>(tmp, 1)?;
+            lane.st::<u64>(keep, 2)?;
+            lane.dev_free(tmp)
+        })
+        .unwrap();
+        let shared = std::cell::Cell::new(None);
+        ctx.serial("alloc", |lane| {
+            shared.set(Some(lane.dev_alloc(512)?));
+            Ok(())
+        })
+        .unwrap();
+        let p = shared.get().unwrap();
+        ctx.parallel_for("churn", 32, |i, lane| {
+            lane.st_idx::<u64>(p, i, 0)?;
+            if i == 31 {
+                lane.dev_free(p)?;
+            }
+            lane.st::<u64>(keep, 3)
+        })
+        .unwrap();
+        let trace = ctx.finish();
+        for phase in &trace.phases[1..] {
+            let w = &phase.warps[0];
+            if phase.label == "alloc" {
+                continue;
+            }
+            assert_eq!(w.region_tags, vec![4], "{}", phase.label);
+            assert_eq!(w.region_footprints, vec![(keep.0, 256)], "{}", phase.label);
+        }
     }
 }
