@@ -17,6 +17,8 @@ cargo run -q --release -p dgc-bench --bin figure6 -- \
     --smoke --thread-limit 32 --metrics-out "$PROF_TMP/smoke_tl32.jsonl" > /dev/null
 cargo run -q --release -p dgc-prof --bin prof-diff -- \
     results/smoke_tl32.jsonl "$PROF_TMP/smoke_tl32.jsonl" --tolerance 0.02
+# The simulation is deterministic: the snapshot regenerates byte for byte.
+cmp results/smoke_tl32.jsonl "$PROF_TMP/smoke_tl32.jsonl"
 
 echo "== figure6: full reproduction vs golden =="
 # Both Fig. 6 panels at every instance count, not just the smoke subset:
@@ -33,7 +35,7 @@ cargo run -q --release -p dgc-prof --bin trace-check -- "$PROF_TMP/trace.json"
 
 echo "== fault: injected OOM recovery vs golden snapshot =="
 # Page-Rank-shaped memory wall: the checked-in plan forces device OOM at
-# concurrency >= 5, so the resilient driver must split 8 -> 4 and recover
+# concurrency >= 5, so the round loop must split 8 -> 4 and recover
 # every instance — a non-zero exit here means recovery regressed.
 printf -- '-v 400 -d 4 -i 2\n' > "$PROF_TMP/pr_args.txt"
 # --no-mem-aware pins the legacy OOM-then-halve path this golden was
@@ -43,6 +45,7 @@ cargo run -q --release -p ensemble-cli -- pagerank -f "$PROF_TMP/pr_args.txt" \
     --no-mem-aware --metrics-out "$PROF_TMP/smoke_faults.jsonl" > /dev/null
 cargo run -q --release -p dgc-prof --bin prof-diff -- \
     results/smoke_faults.jsonl "$PROF_TMP/smoke_faults.jsonl" --tolerance 0.02
+cmp results/smoke_faults.jsonl "$PROF_TMP/smoke_faults.jsonl"
 
 echo "== mem: memory-aware packing vs OOM-then-halve =="
 # Six paper-scale PageRank instances on one 40 GB A100: four fit. The
@@ -67,6 +70,7 @@ mem_t=$(grep '"record":"launch"' "$PROF_TMP/smoke_mem.jsonl" | grep -o '"total_t
 awk -v mem="$mem_t" -v legacy="$legacy_t" 'BEGIN { exit !(mem + 0 < legacy + 0) }'
 cargo run -q --release -p dgc-prof --bin prof-diff -- \
     results/smoke_mem.jsonl "$PROF_TMP/smoke_mem.jsonl" --tolerance 0.02
+cmp results/smoke_mem.jsonl "$PROF_TMP/smoke_mem.jsonl"
 
 echo "== sched: multi-device smoke sweep vs golden snapshot =="
 # Two-device heterogeneous fleet (a100 + half-derated a100): every
@@ -76,6 +80,7 @@ cargo run -q --release -p dgc-bench --bin sched_sweep -- \
     --smoke --metrics-out "$PROF_TMP/smoke_sched.jsonl" > /dev/null
 cargo run -q --release -p dgc-prof --bin prof-diff -- \
     results/smoke_sched.jsonl "$PROF_TMP/smoke_sched.jsonl" --tolerance 0.02
+cmp results/smoke_sched.jsonl "$PROF_TMP/smoke_sched.jsonl"
 
 echo "== bench: perf trajectory vs golden snapshot =="
 # Self-benchmark: wall-clock the pinned figure-6 smoke sweep and a

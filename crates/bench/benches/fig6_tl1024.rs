@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dgc_bench::{measure_config, smoke_workloads};
+use gpu_arch::GpuSpec;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig6_tl1024");
@@ -14,7 +15,7 @@ fn bench(c: &mut Criterion) {
             }
             group.bench_with_input(BenchmarkId::new(workload.name, n), &n, |b, &n| {
                 b.iter(|| {
-                    let t = measure_config(&workload, n, 1024);
+                    let t = measure_config(&GpuSpec::a100_40gb(), &workload, n, 1024, None).time_s;
                     assert!(t.is_some());
                     t
                 })

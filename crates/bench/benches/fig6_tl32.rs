@@ -7,6 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dgc_bench::{measure_config, smoke_workloads};
+use gpu_arch::GpuSpec;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig6_tl32");
@@ -18,7 +19,7 @@ fn bench(c: &mut Criterion) {
             }
             group.bench_with_input(BenchmarkId::new(workload.name, n), &n, |b, &n| {
                 b.iter(|| {
-                    let t = measure_config(&workload, n, 32);
+                    let t = measure_config(&GpuSpec::a100_40gb(), &workload, n, 32, None).time_s;
                     assert!(t.is_some());
                     t
                 })

@@ -17,13 +17,13 @@
 //!     --tolerance 0.05 --wall-factor 10
 //! ```
 
-use dgc_bench::{measure_config_detailed_on, smoke_workloads};
+use dgc_bench::{measure_config, smoke_workloads};
 use dgc_core::EnsembleOptions;
 use dgc_obs::Recorder;
 use dgc_prof::{
     config_fingerprint, git_rev, BenchDiff, BenchReport, BenchSection, BENCH_SCHEMA_VERSION,
 };
-use dgc_sched::{run_ensemble_sharded, Placement};
+use dgc_sched::{run_ensemble_plan, Placement, RunPlan};
 use gpu_arch::GpuSpec;
 use gpu_sim::DeviceFleet;
 use std::time::Instant;
@@ -93,7 +93,7 @@ fn main() {
     let mut sim_s = 0.0f64;
     for w in &smoke_workloads() {
         for &n in &SWEEP_COUNTS {
-            let m = measure_config_detailed_on(&spec, w, n, SWEEP_THREAD_LIMIT);
+            let m = measure_config(&spec, w, n, SWEEP_THREAD_LIMIT, None);
             // OOM configurations (pagerank at 8) attempt but complete
             // nothing; only completed instances count toward throughput.
             if let Some(t) = m.time_s {
@@ -120,18 +120,21 @@ fn main() {
         cycle_args: true,
         ..Default::default()
     };
-    let sharded = run_ensemble_sharded(
+    let plan = RunPlan {
+        placement: Placement::Lpt,
+        ..RunPlan::default()
+    };
+    let sharded = run_ensemble_plan(
         &mut fleet,
         &workload.app(),
         std::slice::from_ref(&workload.args),
         &opts,
-        0,
-        Placement::Lpt,
+        plan,
         &mut Recorder::disabled(),
     )
     .expect("sharded bench run is launchable");
     assert!(
-        sharded.all_succeeded(),
+        sharded.ensemble.all_succeeded(),
         "sharded bench run must complete every instance"
     );
     // Devices run concurrently; total simulated work is the sum of the

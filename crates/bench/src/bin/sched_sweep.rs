@@ -18,7 +18,7 @@
 use dgc_bench::{default_workloads, smoke_workloads, MeasuredConfig, Workload};
 use dgc_core::EnsembleOptions;
 use dgc_obs::Recorder;
-use dgc_sched::{run_ensemble_sharded, Placement};
+use dgc_sched::{run_ensemble_plan, Placement, RunPlan};
 use gpu_arch::DeviceRegistry;
 use gpu_sim::DeviceFleet;
 
@@ -39,13 +39,16 @@ fn sweep_one(
         cycle_args: true,
         ..Default::default()
     };
-    let res = run_ensemble_sharded(
+    let plan = RunPlan {
+        placement,
+        ..RunPlan::default()
+    };
+    let res = run_ensemble_plan(
         &mut fleet,
         &workload.app(),
         std::slice::from_ref(&workload.args),
         &opts,
-        0,
-        placement,
+        plan,
         &mut Recorder::disabled(),
     )
     .expect("sweep configurations are launchable");
@@ -55,7 +58,11 @@ fn sweep_one(
         device: fleet_name.to_string(),
         thread_limit,
         instances,
-        time_s: if oom { None } else { Some(res.makespan_s()) },
+        time_s: if oom {
+            None
+        } else {
+            Some(res.ensemble.total_time_s)
+        },
         metrics: res.ensemble.metrics,
     }
 }

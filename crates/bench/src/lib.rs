@@ -79,22 +79,6 @@ pub fn smoke_workloads() -> Vec<Workload> {
     ]
 }
 
-/// Run one ensemble configuration and return the kernel time (`TN`), or
-/// `None` if any instance hit device OOM — the paper's "not runnable".
-pub fn measure_config(workload: &Workload, instances: u32, thread_limit: u32) -> Option<f64> {
-    measure_config_on(&GpuSpec::a100_40gb(), workload, instances, thread_limit)
-}
-
-/// [`measure_config`] on an arbitrary simulated device.
-pub fn measure_config_on(
-    spec: &GpuSpec,
-    workload: &Workload,
-    instances: u32,
-    thread_limit: u32,
-) -> Option<f64> {
-    measure_config_detailed_on(spec, workload, instances, thread_limit).time_s
-}
-
 /// One measured configuration with its per-instance metrics, as exported
 /// by the `figure6` binary's `--metrics-out` JSONL stream.
 #[derive(Debug, Clone, Serialize)]
@@ -109,22 +93,13 @@ pub struct MeasuredConfig {
     pub metrics: Vec<InstanceMetrics>,
 }
 
-/// [`measure_config_on`], keeping the per-instance metrics instead of
-/// discarding everything but the kernel time.
-pub fn measure_config_detailed_on(
-    spec: &GpuSpec,
-    workload: &Workload,
-    instances: u32,
-    thread_limit: u32,
-) -> MeasuredConfig {
-    measure_config_monitored_on(spec, workload, instances, thread_limit, None)
-}
-
-/// [`measure_config_detailed_on`] with an optional live monitor sink
-/// attached for the duration of the run (the `figure6` binary's
-/// `--monitor-out`). The sink is pure observation: measured times and
-/// metrics are bit-identical with and without it.
-pub fn measure_config_monitored_on(
+/// Run one ensemble configuration on a simulated `spec` device. `time_s`
+/// is the kernel time (`TN`), or `None` if any instance hit device OOM —
+/// the paper's "not runnable". `monitor` optionally attaches a live sink
+/// for the duration of the run (the `figure6` binary's `--monitor-out`);
+/// it is pure observation: measured times and metrics are bit-identical
+/// with and without it.
+pub fn measure_config(
     spec: &GpuSpec,
     workload: &Workload,
     instances: u32,
@@ -178,35 +153,11 @@ pub fn measure_config_monitored_on(
     }
 }
 
-/// Sweep one benchmark across the paper's instance counts at one thread
-/// limit.
-pub fn run_series(workload: &Workload, thread_limit: u32, counts: &[u32]) -> SpeedupSeries {
-    run_series_on(&GpuSpec::a100_40gb(), workload, thread_limit, counts)
-}
-
-/// [`run_series`] on an arbitrary simulated device.
-pub fn run_series_on(
-    spec: &GpuSpec,
-    workload: &Workload,
-    thread_limit: u32,
-    counts: &[u32],
-) -> SpeedupSeries {
-    run_series_detailed_on(spec, workload, thread_limit, counts).0
-}
-
-/// [`run_series_on`], also returning every measured configuration with its
-/// per-instance metrics.
-pub fn run_series_detailed_on(
-    spec: &GpuSpec,
-    workload: &Workload,
-    thread_limit: u32,
-    counts: &[u32],
-) -> (SpeedupSeries, Vec<MeasuredConfig>) {
-    run_series_monitored_on(spec, workload, thread_limit, counts, None)
-}
-
-/// [`run_series_detailed_on`] with an optional live monitor sink.
-pub fn run_series_monitored_on(
+/// Sweep one benchmark across `counts` instances at one thread limit on a
+/// simulated `spec` device, returning the speedup series and every
+/// measured configuration with its per-instance metrics. `monitor` is
+/// passed through to [`measure_config`].
+pub fn run_series(
     spec: &GpuSpec,
     workload: &Workload,
     thread_limit: u32,
@@ -215,7 +166,7 @@ pub fn run_series_monitored_on(
 ) -> (SpeedupSeries, Vec<MeasuredConfig>) {
     let measured: Vec<MeasuredConfig> = counts
         .iter()
-        .map(|&n| measure_config_monitored_on(spec, workload, n, thread_limit, monitor))
+        .map(|&n| measure_config(spec, workload, n, thread_limit, monitor))
         .collect();
     let times: Vec<(u32, Option<f64>)> = measured.iter().map(|m| (m.instances, m.time_s)).collect();
     let series = SpeedupSeries::from_times(workload.name, thread_limit, &times)
@@ -223,36 +174,11 @@ pub fn run_series_monitored_on(
     (series, measured)
 }
 
-/// One panel of Figure 6 (all four benchmarks at one thread limit).
-pub fn run_figure6_panel(thread_limit: u32, workloads: &[Workload]) -> Figure6Panel {
-    run_figure6_panel_on(&GpuSpec::a100_40gb(), thread_limit, workloads, false)
-}
-
-/// [`run_figure6_panel`] on an arbitrary device, optionally extending the
-/// sweep past the paper's 64-instance cap.
-pub fn run_figure6_panel_on(
-    spec: &GpuSpec,
-    thread_limit: u32,
-    workloads: &[Workload],
-    extended: bool,
-) -> Figure6Panel {
-    run_figure6_panel_detailed_on(spec, thread_limit, workloads, extended).0
-}
-
-/// [`run_figure6_panel_on`], also returning the measured configurations
+/// One panel of Figure 6 (every workload at one thread limit) on a
+/// simulated `spec` device, optionally extending the sweep past the
+/// paper's 64-instance cap. Also returns the measured configurations
 /// behind every panel cell (for the `--metrics-out` JSONL export).
-pub fn run_figure6_panel_detailed_on(
-    spec: &GpuSpec,
-    thread_limit: u32,
-    workloads: &[Workload],
-    extended: bool,
-) -> (Figure6Panel, Vec<MeasuredConfig>) {
-    run_figure6_panel_monitored_on(spec, thread_limit, workloads, extended, None)
-}
-
-/// [`run_figure6_panel_detailed_on`] with an optional live monitor sink
-/// streaming operational metrics while the sweep runs.
-pub fn run_figure6_panel_monitored_on(
+pub fn run_figure6_panel(
     spec: &GpuSpec,
     thread_limit: u32,
     workloads: &[Workload],
@@ -267,7 +193,7 @@ pub fn run_figure6_panel_monitored_on(
     let mut series = Vec::new();
     let mut measured = Vec::new();
     for w in workloads {
-        let (s, m) = run_series_monitored_on(spec, w, thread_limit, counts, monitor);
+        let (s, m) = run_series(spec, w, thread_limit, counts, monitor);
         series.push(s);
         measured.extend(m);
     }
@@ -331,8 +257,12 @@ mod tests {
     #[test]
     fn smoke_workloads_measure() {
         let w = &smoke_workloads()[1]; // rsbench, cheap
-        let t1 = measure_config(w, 1, 32).unwrap();
-        let t4 = measure_config(w, 4, 32).unwrap();
+        let t1 = measure_config(&GpuSpec::a100_40gb(), w, 1, 32, None)
+            .time_s
+            .unwrap();
+        let t4 = measure_config(&GpuSpec::a100_40gb(), w, 4, 32, None)
+            .time_s
+            .unwrap();
         assert!(t1 > 0.0 && t4 > 0.0);
         assert!(t4 < 4.0 * t1);
     }
@@ -340,14 +270,18 @@ mod tests {
     #[test]
     fn pagerank_smoke_ooms_at_8() {
         let w = &smoke_workloads()[3];
-        assert!(measure_config(w, 4, 32).is_some());
-        assert!(measure_config(w, 8, 32).is_none());
+        assert!(measure_config(&GpuSpec::a100_40gb(), w, 4, 32, None)
+            .time_s
+            .is_some());
+        assert!(measure_config(&GpuSpec::a100_40gb(), w, 8, 32, None)
+            .time_s
+            .is_none());
     }
 
     #[test]
     fn detailed_measurement_keeps_per_instance_metrics() {
         let w = &smoke_workloads()[1]; // rsbench, cheap
-        let m = measure_config_detailed_on(&GpuSpec::a100_40gb(), w, 4, 32);
+        let m = measure_config(&GpuSpec::a100_40gb(), w, 4, 32, None);
         assert_eq!(m.benchmark, "rsbench");
         assert_eq!(m.instances, 4);
         assert!(m.time_s.is_some());
@@ -359,7 +293,7 @@ mod tests {
         }
         // OOM configurations still report which instances ran out.
         let pr = &smoke_workloads()[3];
-        let oom = measure_config_detailed_on(&GpuSpec::a100_40gb(), pr, 8, 32);
+        let oom = measure_config(&GpuSpec::a100_40gb(), pr, 8, 32, None);
         assert!(oom.time_s.is_none());
         assert!(oom.metrics.iter().any(|im| im.oom));
     }
@@ -367,10 +301,10 @@ mod tests {
     #[test]
     fn monitored_measurement_is_bit_identical_and_feeds_the_registry() {
         let w = &smoke_workloads()[1]; // rsbench, cheap
-        let plain = measure_config_detailed_on(&GpuSpec::a100_40gb(), w, 4, 32);
+        let plain = measure_config(&GpuSpec::a100_40gb(), w, 4, 32, None);
         let reg = std::sync::Arc::new(dgc_monitor::MonitorRegistry::new());
         let sink: Arc<dyn MonitorSink> = reg.clone();
-        let mon = measure_config_monitored_on(&GpuSpec::a100_40gb(), w, 4, 32, Some(&sink));
+        let mon = measure_config(&GpuSpec::a100_40gb(), w, 4, 32, Some(&sink));
         // Pure observation: the measured configuration serializes to the
         // same bytes with and without the sink attached.
         assert_eq!(

@@ -83,9 +83,9 @@ impl InstanceOutcome {
 
 /// Device-heap rollup for one launch (metrics schema v6).
 ///
-/// A plain launch reads one device; the batched and resilient drivers
-/// fold successive launches on the same device with [`HeapUsage::absorb`],
-/// and the sharded driver concatenates one `peak_bytes` entry per device.
+/// A plain launch reads one device; the round loop (`dgc-sched`) keeps
+/// one `peak_bytes` entry per fleet device, folding successive launches on
+/// a device by maximum.
 #[derive(Debug, Clone, Default)]
 pub struct HeapUsage {
     /// Peak bytes in use per device while the ensemble ran.
@@ -96,22 +96,6 @@ pub struct HeapUsage {
     /// Allocations that missed the per-team free list and fell back to
     /// the global first-fit map. 0 whenever free lists are disabled.
     pub alloc_fallbacks: u64,
-}
-
-impl HeapUsage {
-    /// Fold a successive launch on the *same* device set: peaks and
-    /// fragmentation take the max (the heap drains between launches),
-    /// fallback counts accumulate.
-    pub fn absorb(&mut self, other: &HeapUsage) {
-        if self.peak_bytes.len() < other.peak_bytes.len() {
-            self.peak_bytes.resize(other.peak_bytes.len(), 0);
-        }
-        for (mine, theirs) in self.peak_bytes.iter_mut().zip(&other.peak_bytes) {
-            *mine = (*mine).max(*theirs);
-        }
-        self.fragmentation = self.fragmentation.max(other.fragmentation);
-        self.alloc_fallbacks += other.alloc_fallbacks;
-    }
 }
 
 /// Result of one ensemble launch.
@@ -138,8 +122,8 @@ pub struct EnsembleResult {
     pub timeline: LaunchTimeline,
     /// The causal span graph of the run: one [`LaunchNode`] per kernel
     /// launch carrying the exact wall-time addend the driver accumulated
-    /// plus the in-kernel critical chain. Outer drivers (batched,
-    /// resilient, sharded) merge and re-stamp it exactly as they do the
+    /// plus the in-kernel critical chain. The round loop (`dgc-sched`)
+    /// merges and re-stamps it exactly as it does the
     /// instance metrics, so `graph.replay_makespan_s()` reproduces the
     /// reported makespan bit-exactly. Consumed by `dgc-insight`.
     pub graph: SpanGraph,
@@ -249,6 +233,33 @@ pub enum EnsembleError {
         instances: u32,
         lines: usize,
     },
+    /// A run plan the round loop refuses to execute (`dgc-sched`).
+    InvalidPlan(PlanError),
+}
+
+/// Why a run plan cannot execute. Checked once, before anything
+/// launches: bad values are rejected, never silently coerced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanError {
+    /// The ensemble asks for zero instances.
+    NoInstances,
+    /// The fleet has no devices.
+    NoDevices,
+    /// A batch bound of zero instances per launch.
+    ZeroBatch,
+    /// A recovery policy allowing zero launch attempts.
+    NoAttempts,
+}
+
+impl std::fmt::Display for PlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            PlanError::NoInstances => "an ensemble needs at least one instance",
+            PlanError::NoDevices => "the fleet needs at least one device",
+            PlanError::ZeroBatch => "the batch bound must be at least 1",
+            PlanError::NoAttempts => "max_attempts must be at least 1",
+        })
+    }
 }
 
 impl std::fmt::Display for EnsembleError {
@@ -271,6 +282,7 @@ impl std::fmt::Display for EnsembleError {
                 "ensemble of {instances} instances needs {instances} argument lines but the \
                  argument file has only {lines}; pass --cycle-args to reuse lines modulo"
             ),
+            EnsembleError::InvalidPlan(e) => write!(f, "invalid run plan: {e}"),
         }
     }
 }
@@ -368,7 +380,7 @@ pub struct LaunchFaults<'a> {
 }
 
 /// [`run_ensemble_traced`] with deterministic fault injection — the
-/// substrate of the resilient driver (`dgc-fault`). All injection is
+/// substrate of the round loop (`dgc-sched`). All injection is
 /// opt-in per hook; absent hooks leave the launch untouched.
 pub fn run_ensemble_injected(
     gpu: &mut Gpu,
@@ -735,143 +747,6 @@ pub fn run_ensemble_injected(
     })
 }
 
-/// Batched ensemble execution — our extension past the paper's §4.3
-/// memory limitation.
-///
-/// When `N` concurrent instances exceed device memory (Page-Rank beyond 4
-/// on a 40 GB A100), the ensemble still runs as `ceil(N / batch)`
-/// *sequential* kernel launches of at most `batch` instances each: device
-/// memory holds one batch at a time, so any `N` completes. Total time is
-/// the sum of the batch kernels — throughput saturates at the largest
-/// batch that fits, trading the paper's hard OOM wall for a flat scaling
-/// ceiling.
-pub fn run_ensemble_batched(
-    gpu: &mut Gpu,
-    app: &HostApp,
-    arg_lines: &[Vec<String>],
-    opts: &EnsembleOptions,
-    batch: u32,
-) -> Result<EnsembleResult, EnsembleError> {
-    run_ensemble_batched_traced(gpu, app, arg_lines, opts, batch, &mut Recorder::disabled())
-}
-
-/// [`run_ensemble_batched`] with an observability [`Recorder`]. Batches
-/// land end-to-end on one timeline: before each batch the recorder's base
-/// offset advances by the elapsed simulated time, and instance metrics
-/// are renumbered to global instance ids with accumulated end times.
-pub fn run_ensemble_batched_traced(
-    gpu: &mut Gpu,
-    app: &HostApp,
-    arg_lines: &[Vec<String>],
-    opts: &EnsembleOptions,
-    batch: u32,
-    obs: &mut Recorder,
-) -> Result<EnsembleResult, EnsembleError> {
-    run_ensemble_batched_progress(gpu, app, arg_lines, opts, batch, obs, &mut |_, _| {})
-}
-
-/// [`run_ensemble_batched_traced`] with a progress callback: after each
-/// batch completes, `progress(done, total)` reports how many instances
-/// have finished. The callback drives the CLI's `--progress` ETA line; a
-/// no-op closure makes this identical to the plain batched driver.
-pub fn run_ensemble_batched_progress(
-    gpu: &mut Gpu,
-    app: &HostApp,
-    arg_lines: &[Vec<String>],
-    opts: &EnsembleOptions,
-    batch: u32,
-    obs: &mut Recorder,
-    progress: &mut dyn FnMut(u32, u32),
-) -> Result<EnsembleResult, EnsembleError> {
-    assert!(batch >= 1, "batch size must be at least 1");
-    let n = opts.num_instances.max(1);
-    if n <= batch {
-        let res = run_ensemble_traced(gpu, app, arg_lines, opts, HostServices::default(), obs)?;
-        progress(n, n);
-        return Ok(res);
-    }
-    ensure_arg_capacity(arg_lines, n, opts.cycle_args)?;
-
-    let mut instances = Vec::with_capacity(n as usize);
-    let mut stdout = Vec::with_capacity(n as usize);
-    let mut end_times = Vec::with_capacity(n as usize);
-    let mut metrics: Vec<InstanceMetrics> = Vec::with_capacity(n as usize);
-    let mut kernel_time_s = 0.0;
-    let mut total_time_s = 0.0;
-    let mut rpc_stats = RpcStats::default();
-    let mut timeline = LaunchTimeline::default();
-    let mut graph = SpanGraph::default();
-    let mut heap = HeapUsage::default();
-    let mut last_report = None;
-    let base_us = obs.base_us();
-
-    let mut start = 0u32;
-    while start < n {
-        let count = batch.min(n - start);
-        // This batch's argument lines, preserving the global cycling.
-        let batch_lines: Vec<Vec<String>> = (start..start + count)
-            .map(|i| arg_lines[i as usize % arg_lines.len()].clone())
-            .collect();
-        let batch_opts = EnsembleOptions {
-            num_instances: count,
-            ..opts.clone()
-        };
-        obs.set_base_us(base_us + total_time_s * 1e6);
-        let res = run_ensemble_traced(
-            gpu,
-            app,
-            &batch_lines,
-            &batch_opts,
-            HostServices::default(),
-            obs,
-        )?;
-        instances.extend(res.instances);
-        stdout.extend(res.stdout);
-        // Batches run back to back: offset finish times by elapsed time.
-        end_times.extend(res.instance_end_times_s.iter().map(|t| kernel_time_s + t));
-        metrics.extend(res.metrics.into_iter().map(|mut m| {
-            m.instance += start;
-            m.end_time_s += kernel_time_s;
-            m
-        }));
-        // The batch's utilization series lands after the elapsed batches,
-        // in lockstep with the recorder base shift above.
-        let mut batch_tl = res.timeline;
-        batch_tl.shift_us(total_time_s * 1e6);
-        timeline.merge(batch_tl);
-        // Span graph: shift onto the launch timeline, renumber the
-        // batch-local instances to global ids, and append in
-        // accumulation order — replay then folds `total_s` addends
-        // exactly like the `total_time_s` accumulator below.
-        let mut batch_graph = res.graph;
-        batch_graph.shift_start_s(total_time_s);
-        let id_map: Vec<u32> = (start..start + count).collect();
-        batch_graph.remap_instances(&id_map);
-        graph.merge(batch_graph);
-        kernel_time_s += res.kernel_time_s;
-        total_time_s += res.total_time_s;
-        rpc_stats.merge(&res.rpc_stats);
-        heap.absorb(&res.heap);
-        last_report = Some(res.report);
-        start += count;
-        progress(start, n);
-    }
-    obs.set_base_us(base_us);
-    Ok(EnsembleResult {
-        instances,
-        stdout,
-        report: last_report.expect("at least one batch ran"),
-        kernel_time_s,
-        total_time_s,
-        instance_end_times_s: end_times,
-        rpc_stats,
-        metrics,
-        timeline,
-        graph,
-        heap,
-    })
-}
-
 /// The enhanced loader's command line (paper §3.2): `-f <file>`,
 /// `-n <num instances>`, `-t <thread limit>`, plus extensions:
 /// `--pack <M>` selects the §3.1 packed mapping, `--batch <B>` runs the
@@ -895,9 +770,9 @@ pub struct EnsembleCliArgs {
     pub metrics_out: Option<String>,
     /// Suppress per-instance stdout blocks.
     pub quiet: bool,
-    /// Fault-plan JSON path (`--faults`); enables the resilient driver.
+    /// Fault-plan JSON path (`--faults`); arms the recovery policy.
     pub faults: Option<String>,
-    /// Max launch attempts per instance under the resilient driver.
+    /// Max launch attempts per instance once recovery is armed.
     pub max_attempts: u32,
     /// Halve the concurrent batch on device OOM instead of giving up.
     pub auto_batch: bool,
@@ -905,7 +780,7 @@ pub struct EnsembleCliArgs {
     pub instance_timeout: Option<f64>,
     /// Abort remaining work as soon as one instance exhausts its attempts.
     pub fail_fast: bool,
-    /// Seed for the resilient driver's opt-in backoff jitter
+    /// Seed for the recovery policy's opt-in backoff jitter
     /// (`--retry-jitter <seed>`); `None` keeps the synchronized waits and
     /// every existing golden bit-identical.
     pub retry_jitter: Option<u64>,
@@ -1352,20 +1227,6 @@ module "bench" {
         for want in ["loader", "kernel", "block", "phase", "lifecycle", "rpc"] {
             assert!(cats.contains(&want), "missing {want} events in {cats:?}");
         }
-        // Batched runs renumber instances and keep one timeline.
-        let mut gpu = Gpu::a100();
-        let mut obs = Recorder::enabled();
-        let opts4 = EnsembleOptions {
-            num_instances: 4,
-            ..opts.clone()
-        };
-        let batched =
-            run_ensemble_batched_traced(&mut gpu, &app(), &arg_lines, &opts4, 2, &mut obs).unwrap();
-        let ids: Vec<u32> = batched.metrics.iter().map(|m| m.instance).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
-        assert_eq!(obs.base_us(), 0.0);
-        let kernel_spans = obs.events().iter().filter(|e| e.cat == "kernel").count();
-        assert_eq!(kernel_spans, 2);
     }
 
     #[test]
@@ -1526,19 +1387,6 @@ module "bench" {
         let msg = err.to_string();
         assert!(msg.contains('3') && msg.contains('2'), "{msg}");
         assert!(msg.contains("--cycle-args"), "{msg}");
-        // The batched path enforces the same contract before launching
-        // anything.
-        let opts8 = EnsembleOptions {
-            num_instances: 8,
-            ..opts.clone()
-        };
-        assert!(matches!(
-            run_ensemble_batched(&mut gpu, &app(), &arg_lines, &opts8, 4),
-            Err(EnsembleError::ArgCountMismatch {
-                instances: 8,
-                lines: 2
-            })
-        ));
         assert_eq!(gpu.mem.stats().live_allocations, 0);
     }
 
@@ -1640,64 +1488,6 @@ module "bench" {
         assert_eq!(oks, 2);
         assert_eq!(ooms, 2);
         assert_eq!(gpu.mem.stats().live_allocations, 0);
-    }
-
-    #[test]
-    fn batched_ensemble_pushes_past_the_memory_wall() {
-        // 8 paper-scale hogs cannot run concurrently (15 GB each on 40 GB)
-        // but complete in batches of 2.
-        fn hog_main(team: &mut TeamCtx<'_>, cx: &AppContext) -> Result<i32, KernelError> {
-            let _ = cx;
-            let buf = team.serial("alloc", |lane| {
-                lane.dev_reserve(15 << 30)?;
-                lane.dev_alloc(8)
-            })?;
-            team.serial("touch", |lane| lane.st::<u64>(buf, 7))?;
-            Ok(0)
-        }
-        let a = HostApp::new("hog", MODULE, hog_main);
-        let mut gpu = Gpu::a100();
-        let opts = EnsembleOptions {
-            num_instances: 8,
-            thread_limit: 32,
-            cycle_args: true,
-            ..Default::default()
-        };
-        // Concurrent: OOM.
-        let res =
-            run_ensemble(&mut gpu, &a, &lines("-x\n"), &opts, HostServices::default()).unwrap();
-        assert!(res.any_oom());
-        // Batched by 2: all succeed, four sequential launches.
-        let res = run_ensemble_batched(&mut gpu, &a, &lines("-x\n"), &opts, 2).unwrap();
-        assert!(res.all_succeeded(), "{:?}", res.instances);
-        assert_eq!(res.instances.len(), 8);
-        assert_eq!(gpu.mem.stats().live_allocations, 0);
-    }
-
-    #[test]
-    fn batched_matches_unbatched_results() {
-        let mut gpu = Gpu::a100();
-        let opts = EnsembleOptions {
-            num_instances: 6,
-            thread_limit: 32,
-            cycle_args: true,
-            ..Default::default()
-        };
-        let arg_lines = lines("-n 100\n-n 200\n-n 300\n");
-        let full =
-            run_ensemble(&mut gpu, &app(), &arg_lines, &opts, HostServices::default()).unwrap();
-        let batched = run_ensemble_batched(&mut gpu, &app(), &arg_lines, &opts, 2).unwrap();
-        // Instance ids are per-launch (each batch is its own kernel), so
-        // compare the computed payloads, not the id prefix.
-        let sums = |v: &[String]| -> Vec<String> {
-            v.iter()
-                .map(|s| s.split("sum ").nth(1).unwrap().to_string())
-                .collect()
-        };
-        assert_eq!(sums(&full.stdout), sums(&batched.stdout));
-        // Sequential batches cannot beat the single concurrent launch.
-        assert!(batched.kernel_time_s >= full.kernel_time_s);
-        assert_eq!(batched.instance_end_times_s.len(), 6);
     }
 
     #[test]

@@ -35,11 +35,10 @@ pub use app::{AppContext, AppMainFn, GlobalSlot, HostApp};
 pub use argfile::{parse_arg_file, split_arg_line, ArgFileError};
 pub use argscript::{eval_expr, expand_arg_script, ScriptError};
 pub use ensemble::{
-    ensure_arg_capacity, format_eta_s, parse_ensemble_cli, run_ensemble, run_ensemble_batched,
-    run_ensemble_batched_progress, run_ensemble_batched_traced, run_ensemble_injected,
+    ensure_arg_capacity, format_eta_s, parse_ensemble_cli, run_ensemble, run_ensemble_injected,
     run_ensemble_traced, CliError, EnsembleCliArgs, EnsembleError, EnsembleOptions, EnsembleResult,
-    HeapUsage, InstanceOutcome, LaunchFaults, MappingStrategy, DEFAULT_MONITOR_INTERVAL_MS,
-    DEFAULT_SAMPLE_INTERVAL,
+    HeapUsage, InstanceOutcome, LaunchFaults, MappingStrategy, PlanError,
+    DEFAULT_MONITOR_INTERVAL_MS, DEFAULT_SAMPLE_INTERVAL,
 };
 pub use loader::{AppRunResult, Loader, LoaderError};
 pub use multiteam::{run_multi_team, MultiTeamError, MultiTeamResult};

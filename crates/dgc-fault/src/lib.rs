@@ -1,37 +1,24 @@
-//! Fault injection and recovery for ensemble execution.
+//! Fault injection for ensemble execution.
 //!
 //! The paper's ensemble loader packs `NI` application instances into one
 //! kernel — which also packs `NI` failure domains into one launch: a trap,
 //! a device OOM or a hung team takes the whole ensemble's result quality
-//! with it. This crate makes those failures **first-class, deterministic
-//! and recoverable**:
+//! with it. This crate makes those failures **first-class and
+//! deterministic**:
 //!
 //! * [`FaultPlan`] — a seeded, JSON-serializable description of what to
 //!   break: per-team traps, forced device OOM above a concurrency
 //!   threshold (the §4.3 Page-Rank memory wall, reproducible on demand),
-//!   hung instances, failed or corrupted RPC round trips. The same plan
-//!   against the same workload replays bit-for-bit; an *empty* plan is
-//!   pure bookkeeping and perturbs nothing.
-//! * [`run_ensemble_resilient`] — the recovery driver around the batched
-//!   ensemble path: failed instances re-launch in follow-up kernels with
-//!   exponential backoff in simulated time, device OOM halves the
-//!   concurrent batch ([`RecoveryPolicy::oom_split`]) so the memory wall
-//!   degrades throughput instead of ending the run, and a watchdog cycle
-//!   budget reaps hung instances without killing their launch.
-//! * [`RecoveryStats`] / [`ResilientResult::launch_metrics`] — the
-//!   recovery story (attempts, retries, recoveries, splits, backoff)
-//!   rolled into the schema-v3 metrics record and the Chrome trace.
+//!   hung instances, failed or corrupted RPC round trips, whole devices
+//!   dying. The same plan against the same workload replays bit-for-bit;
+//!   an *empty* plan is pure bookkeeping and perturbs nothing.
+//!
+//! Recovery lives in `dgc-sched`'s round loop: a plan reaches it as a
+//! `dgc_sched::FaultSource` in a `RunPlan`, next to the
+//! `dgc_sched::RecoveryPolicy` that retries failed instances with
+//! backoff, halves the batch on device OOM, reaps hung instances and
+//! re-shards a dead device's instances onto the survivors.
 
 mod plan;
-mod resilient;
-mod sharded;
 
 pub use plan::{DeviceDeath, FaultKind, FaultPlan, FaultSpec};
-pub use resilient::{
-    run_ensemble_resilient, run_ensemble_resilient_mem_aware, RecoveryPolicy, RecoveryStats,
-    ResilientResult,
-};
-pub use sharded::{
-    run_ensemble_sharded_resilient, run_ensemble_sharded_resilient_mem_aware,
-    ShardedResilientResult,
-};

@@ -7,6 +7,7 @@
 //! the same points, so failing runs replay exactly (the whole point of
 //! testing recovery inside a deterministic simulator).
 
+use dgc_sched::{splitmix64, FaultSource};
 use gpu_sim::InjectedTeamFault;
 use host_rpc::{Request, RpcFault, RpcFaultHook};
 use serde::{Deserialize, Serialize};
@@ -20,7 +21,7 @@ pub enum FaultKind {
     /// The matched team traps with a device out-of-memory — but only
     /// while at least `min_concurrent` instances share the kernel.
     /// Models the paper's Page-Rank memory wall as a *recoverable*
-    /// event: once the resilient driver halves the batch below the
+    /// event: once the round loop halves the batch below the
     /// threshold, the instances fit and complete.
     DeviceOom {
         min_concurrent: u32,
@@ -74,30 +75,13 @@ pub struct FaultPlan {
     /// scatter faults record it here so a plan file is self-describing).
     pub seed: u64,
     pub faults: Vec<FaultSpec>,
-    /// Whole-device deaths, honoured only by the sharded resilient
-    /// driver (single-device drivers have no fleet to re-shard over).
-    /// `Option` so plan files written before multi-device support still
-    /// parse.
+    /// Whole-device deaths. On a one-device fleet a death leaves no
+    /// survivor to re-shard onto. `Option` so plan files written before
+    /// multi-device support still parse.
     pub device_deaths: Option<Vec<DeviceDeath>>,
 }
 
-/// splitmix64 — tiny, dependency-free, full-period generator; plenty for
-/// scattering faults reproducibly (and for the recovery driver's seeded
-/// backoff jitter, which shares the generator so one seed scheme covers
-/// the whole crate).
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl FaultPlan {
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
     /// Parse a plan from its JSON form (the `--faults <plan.json>` file).
     pub fn from_json(text: &str) -> Result<Self, String> {
         serde_json::from_str(text).map_err(|e| format!("bad fault plan: {e}"))
@@ -135,16 +119,14 @@ impl FaultPlan {
             device_deaths: None,
         }
     }
+}
 
+/// How the round loop (`dgc_sched::run_ensemble_plan`) reads a plan.
+impl FaultSource for FaultPlan {
     /// Team-level fault for `instance` on `attempt`, given that
     /// `concurrent` instances share the kernel. First matching spec wins;
-    /// RPC faults are handled by [`FaultPlan::rpc_hook`], not here.
-    pub fn fault_for(
-        &self,
-        instance: u32,
-        attempt: u32,
-        concurrent: u32,
-    ) -> Option<InjectedTeamFault> {
+    /// RPC faults are handled by `rpc_hook`, not here.
+    fn fault_for(&self, instance: u32, attempt: u32, concurrent: u32) -> Option<InjectedTeamFault> {
         self.faults
             .iter()
             .filter(|s| s.matches(instance, attempt))
@@ -166,7 +148,7 @@ impl FaultPlan {
 
     /// Whether `device` dies exactly at recovery round `attempt` — the
     /// round where its placed instances fail and re-shard.
-    pub fn device_dies_at(&self, device: u32, attempt: u32) -> bool {
+    fn device_dies_at(&self, device: u32, attempt: u32) -> bool {
         self.device_deaths
             .as_deref()
             .unwrap_or_default()
@@ -176,7 +158,7 @@ impl FaultPlan {
 
     /// Whether `device` is already dead *before* round `attempt` starts
     /// (and must therefore be excluded from placement).
-    pub fn device_dead_before(&self, device: u32, attempt: u32) -> bool {
+    fn device_dead_before(&self, device: u32, attempt: u32) -> bool {
         self.device_deaths
             .as_deref()
             .unwrap_or_default()
@@ -188,7 +170,7 @@ impl FaultPlan {
     /// local instance `l` of the kernel is global instance `globals[l]`.
     /// `None` when no RPC fault applies to this attempt — the launch then
     /// uses the exact no-interceptor path.
-    pub fn rpc_hook(&self, attempt: u32, globals: &[u32]) -> Option<RpcFaultHook> {
+    fn rpc_hook(&self, attempt: u32, globals: &[u32]) -> Option<RpcFaultHook> {
         // (global-instance filter, fire threshold, corrupt?) per live spec.
         let specs: Vec<(Option<u32>, u64, bool)> = self
             .faults

@@ -3,10 +3,12 @@
 //! timeouts, RPC corruption, and fail-fast.
 
 use device_libc::dl_printf;
-use dgc_core::{run_ensemble_batched_traced, AppContext, EnsembleOptions, HostApp};
-use dgc_fault::{run_ensemble_resilient, FaultKind, FaultPlan, FaultSpec, RecoveryPolicy};
+use dgc_core::{AppContext, EnsembleError, EnsembleOptions, HostApp};
+use dgc_fault::{FaultKind, FaultPlan, FaultSpec};
 use dgc_obs::Recorder;
-use gpu_sim::{Gpu, KernelError, TeamCtx};
+use dgc_sched::{run_ensemble_plan, RecoveryPolicy, RunPlan, RunResult};
+use gpu_arch::GpuSpec;
+use gpu_sim::{DeviceFleet, KernelError, TeamCtx};
 
 const MODULE: &str = r#"
 module "bench" {
@@ -58,6 +60,32 @@ fn opts(n: u32) -> EnsembleOptions {
     }
 }
 
+fn a100() -> DeviceFleet {
+    DeviceFleet::homogeneous(GpuSpec::a100_40gb(), 1)
+}
+
+/// The resilient preset: one device, `plan` injected, `policy` recovering,
+/// `batch` instances per launch (`0` = unbounded).
+#[allow(clippy::too_many_arguments)]
+fn resilient(
+    fleet: &mut DeviceFleet,
+    app: &HostApp,
+    arg_lines: &[Vec<String>],
+    opts: &EnsembleOptions,
+    batch: u32,
+    plan: &FaultPlan,
+    policy: &RecoveryPolicy,
+    obs: &mut Recorder,
+) -> Result<RunResult, EnsembleError> {
+    let plan = RunPlan {
+        batch: (batch > 0).then_some(batch),
+        faults: Some(plan),
+        recovery: policy.clone(),
+        ..RunPlan::default()
+    };
+    run_ensemble_plan(fleet, app, arg_lines, opts, plan, obs)
+}
+
 fn trap_on(instance: u32, attempt: Option<u32>) -> FaultPlan {
     FaultPlan {
         device_deaths: None,
@@ -74,9 +102,9 @@ fn trap_on(instance: u32, attempt: Option<u32>) -> FaultPlan {
 
 #[test]
 fn first_attempt_trap_recovers_on_retry() {
-    let mut gpu = Gpu::a100();
-    let r = run_ensemble_resilient(
-        &mut gpu,
+    let mut fleet = a100();
+    let r = resilient(
+        &mut fleet,
         &app(),
         &lines("-n 100\n-n 200\n"),
         &opts(4),
@@ -86,7 +114,7 @@ fn first_attempt_trap_recovers_on_retry() {
         &mut Recorder::disabled(),
     )
     .unwrap();
-    assert!(r.all_succeeded(), "{:?}", r.ensemble.instances);
+    assert!(r.ensemble.all_succeeded(), "{:?}", r.ensemble.instances);
     assert_eq!(r.recovery.attempts, 2);
     assert_eq!(r.recovery.retried, 1);
     assert_eq!(r.recovery.recovered, 1);
@@ -103,14 +131,14 @@ fn first_attempt_trap_recovers_on_retry() {
     assert_eq!((lm.failed, lm.unrecovered), (1, 0));
     assert_eq!((lm.attempts, lm.retried, lm.recovered), (2, 1, 1));
     assert_eq!(lm.kernel, "bench-x4");
-    assert_eq!(gpu.mem.stats().live_allocations, 0);
+    assert_eq!(fleet.gpu(0).mem.stats().live_allocations, 0);
 }
 
 #[test]
 fn every_attempt_trap_exhausts_and_stays_failed() {
-    let mut gpu = Gpu::a100();
-    let r = run_ensemble_resilient(
-        &mut gpu,
+    let mut fleet = a100();
+    let r = resilient(
+        &mut fleet,
         &app(),
         &lines("-n 100\n"),
         &opts(3),
@@ -123,7 +151,7 @@ fn every_attempt_trap_exhausts_and_stays_failed() {
         &mut Recorder::disabled(),
     )
     .unwrap();
-    assert!(!r.all_succeeded());
+    assert!(!r.ensemble.all_succeeded());
     assert_eq!(r.recovery.attempts, 2);
     assert_eq!(r.recovery.failures, 2, "both attempts failed");
     assert_eq!(r.recovery.recovered, 0);
@@ -152,10 +180,10 @@ fn device_oom_splits_the_batch_and_completes_all_instances() {
             },
         }],
     };
-    let mut gpu = Gpu::a100();
+    let mut fleet = a100();
     let mut obs = Recorder::enabled();
-    let r = run_ensemble_resilient(
-        &mut gpu,
+    let r = resilient(
+        &mut fleet,
         &app(),
         &lines("-n 100\n"),
         &opts(8),
@@ -165,7 +193,7 @@ fn device_oom_splits_the_batch_and_completes_all_instances() {
         &mut obs,
     )
     .unwrap();
-    assert!(r.all_succeeded(), "{:?}", r.ensemble.instances);
+    assert!(r.ensemble.all_succeeded(), "{:?}", r.ensemble.instances);
     assert_eq!(r.recovery.attempts, 2);
     assert_eq!(r.recovery.oom_failures, 8);
     assert_eq!(r.recovery.oom_splits, 1);
@@ -192,7 +220,7 @@ fn device_oom_splits_the_batch_and_completes_all_instances() {
     );
     assert!(recovery.contains(&"batch split to 4"), "{recovery:?}");
     assert!(recovery.contains(&"retry round 1"), "{recovery:?}");
-    assert_eq!(gpu.mem.stats().live_allocations, 0);
+    assert_eq!(fleet.gpu(0).mem.stats().live_allocations, 0);
 }
 
 #[test]
@@ -206,9 +234,9 @@ fn hung_instance_times_out_and_recovers() {
             kind: FaultKind::Hang { stall_cycles: 1e9 },
         }],
     };
-    let mut gpu = Gpu::a100();
-    let r = run_ensemble_resilient(
-        &mut gpu,
+    let mut fleet = a100();
+    let r = resilient(
+        &mut fleet,
         &app(),
         &lines("-n 100\n"),
         &opts(3),
@@ -221,11 +249,11 @@ fn hung_instance_times_out_and_recovers() {
         &mut Recorder::disabled(),
     )
     .unwrap();
-    assert!(r.all_succeeded(), "{:?}", r.ensemble.instances);
+    assert!(r.ensemble.all_succeeded(), "{:?}", r.ensemble.instances);
     assert_eq!(r.recovery.timeouts, 1);
     assert_eq!(r.recovery.recovered, 1);
     // The watchdog reaped the hang instead of simulating 1e9 cycles.
-    assert!(r.ensemble.kernel_time_s < gpu.spec.cycles_to_seconds(1e8));
+    assert!(r.ensemble.kernel_time_s < fleet.spec(0).cycles_to_seconds(1e8));
 }
 
 #[test]
@@ -239,9 +267,9 @@ fn corrupted_rpc_reply_traps_then_recovers() {
             kind: FaultKind::RpcCorrupt { after_calls: 0 },
         }],
     };
-    let mut gpu = Gpu::a100();
-    let r = run_ensemble_resilient(
-        &mut gpu,
+    let mut fleet = a100();
+    let r = resilient(
+        &mut fleet,
         &app(),
         &lines("-n 100\n-n 200\n"),
         &opts(2),
@@ -253,7 +281,7 @@ fn corrupted_rpc_reply_traps_then_recovers() {
     .unwrap();
     // The corrupted printf reply trapped instance 0 on attempt 0; the
     // interceptor runs before the service, so the retry is clean.
-    assert!(r.all_succeeded(), "{:?}", r.ensemble.instances);
+    assert!(r.ensemble.all_succeeded(), "{:?}", r.ensemble.instances);
     assert_eq!(r.recovery.failures, 1);
     assert_eq!(r.recovery.recovered, 1);
     let sum_100: f64 = (0..100).map(|i| i as f64).sum();
@@ -274,9 +302,9 @@ fn injected_rpc_failure_is_a_typed_host_error() {
             kind: FaultKind::RpcFail { after_calls: 0 },
         }],
     };
-    let mut gpu = Gpu::a100();
-    let r = run_ensemble_resilient(
-        &mut gpu,
+    let mut fleet = a100();
+    let r = resilient(
+        &mut fleet,
         &app(),
         &lines("-n 100\n"),
         &opts(1),
@@ -298,9 +326,9 @@ fn injected_rpc_failure_is_a_typed_host_error() {
 
 #[test]
 fn fail_fast_skips_remaining_work() {
-    let mut gpu = Gpu::a100();
-    let r = run_ensemble_resilient(
-        &mut gpu,
+    let mut fleet = a100();
+    let r = resilient(
+        &mut fleet,
         &app(),
         &lines("-n 100\n"),
         &opts(4),
@@ -333,9 +361,9 @@ fn nonzero_exit_is_not_retried() {
         Ok(if cx.instance == 1 { 3 } else { 0 })
     }
     let a = HostApp::new("bench", MODULE, exit_main);
-    let mut gpu = Gpu::a100();
-    let r = run_ensemble_resilient(
-        &mut gpu,
+    let mut fleet = a100();
+    let r = resilient(
+        &mut fleet,
         &a,
         &lines("-x\n"),
         &opts(2),
@@ -358,9 +386,9 @@ fn nonzero_exit_is_not_retried() {
 fn batched_and_unbatched_recovery_agree_under_a_trap() {
     let plan = trap_on(3, Some(0));
     let run = |batch| {
-        let mut gpu = Gpu::a100();
-        run_ensemble_resilient(
-            &mut gpu,
+        let mut fleet = a100();
+        resilient(
+            &mut fleet,
             &app(),
             &lines("-n 100\n-n 200\n-n 300\n"),
             &opts(6),
@@ -375,54 +403,16 @@ fn batched_and_unbatched_recovery_agree_under_a_trap() {
     let batched = run(2);
     // Same final payloads and the same recovery story, whatever the
     // batching (timings legitimately differ).
-    let sums = |r: &dgc_fault::ResilientResult| -> Vec<String> {
+    let sums = |r: &RunResult| -> Vec<String> {
         r.ensemble
             .stdout
             .iter()
             .map(|s| s.split("sum ").nth(1).unwrap().to_string())
             .collect()
     };
-    assert!(concurrent.all_succeeded() && batched.all_succeeded());
+    assert!(concurrent.ensemble.all_succeeded() && batched.ensemble.all_succeeded());
     assert_eq!(sums(&concurrent), sums(&batched));
     assert_eq!(concurrent.recovery.retried, batched.recovery.retried);
     assert_eq!(concurrent.recovery.recovered, batched.recovery.recovered);
     assert_eq!(concurrent.recovery.failures, batched.recovery.failures);
-}
-
-#[test]
-fn empty_plan_traced_run_is_bit_identical_to_batched() {
-    let arg_lines = lines("-n 100\n-n 200\n-n 300\n");
-    let mut gpu = Gpu::a100();
-    let mut obs_b = Recorder::enabled();
-    let baseline =
-        run_ensemble_batched_traced(&mut gpu, &app(), &arg_lines, &opts(6), 2, &mut obs_b).unwrap();
-    let mut gpu = Gpu::a100();
-    let mut obs_r = Recorder::enabled();
-    let r = run_ensemble_resilient(
-        &mut gpu,
-        &app(),
-        &arg_lines,
-        &opts(6),
-        2,
-        &FaultPlan::default(),
-        &RecoveryPolicy::default(),
-        &mut obs_r,
-    )
-    .unwrap();
-    assert_eq!(r.ensemble.instances, baseline.instances);
-    assert_eq!(r.ensemble.stdout, baseline.stdout);
-    assert_eq!(r.ensemble.report, baseline.report);
-    assert_eq!(r.ensemble.kernel_time_s, baseline.kernel_time_s);
-    assert_eq!(r.ensemble.total_time_s, baseline.total_time_s);
-    assert_eq!(
-        r.ensemble.instance_end_times_s,
-        baseline.instance_end_times_s
-    );
-    assert_eq!(r.ensemble.metrics, baseline.metrics);
-    assert_eq!(r.ensemble.rpc_stats, baseline.rpc_stats);
-    // Even the trace is byte-for-byte the same: with no faults the
-    // driver records nothing of its own.
-    assert_eq!(obs_r.to_chrome_trace(), obs_b.to_chrome_trace());
-    assert_eq!(r.recovery.attempts, 1);
-    assert_eq!(r.recovery.backoff_s, 0.0);
 }

@@ -1,15 +1,13 @@
-//! Sharded resilient driver: device deaths re-shard onto survivors.
+//! Recovery across a fleet: device deaths re-shard onto survivors, and
+//! fleet runs honour fail-fast and backoff jitter like one-device runs.
 
 use device_libc::dl_printf;
-use dgc_core::{AppContext, EnsembleOptions, HostApp};
-use dgc_fault::{
-    run_ensemble_resilient, run_ensemble_sharded_resilient, DeviceDeath, FaultKind, FaultPlan,
-    FaultSpec, RecoveryPolicy,
-};
+use dgc_core::{AppContext, EnsembleError, EnsembleOptions, HostApp};
+use dgc_fault::{DeviceDeath, FaultKind, FaultPlan, FaultSpec};
 use dgc_obs::Recorder;
-use dgc_sched::Placement;
+use dgc_sched::{run_ensemble_plan, Placement, RecoveryPolicy, RunPlan, RunResult};
 use gpu_arch::DeviceRegistry;
-use gpu_sim::{DeviceFleet, Gpu, KernelError, TeamCtx};
+use gpu_sim::{DeviceFleet, KernelError, TeamCtx};
 
 const MODULE: &str = r#"
 module "bench" {
@@ -60,6 +58,30 @@ fn opts(n: u32) -> EnsembleOptions {
     }
 }
 
+/// The sharded-resilient preset: `placement` over the fleet, `plan`
+/// injected, `policy` recovering, `batch` per launch (`0` = unbounded).
+#[allow(clippy::too_many_arguments)]
+fn sharded_resilient(
+    fleet: &mut DeviceFleet,
+    app: &HostApp,
+    arg_lines: &[Vec<String>],
+    opts: &EnsembleOptions,
+    batch: u32,
+    placement: Placement,
+    plan: &FaultPlan,
+    policy: &RecoveryPolicy,
+    obs: &mut Recorder,
+) -> Result<RunResult, EnsembleError> {
+    let plan = RunPlan {
+        batch: (batch > 0).then_some(batch),
+        placement,
+        faults: Some(plan),
+        recovery: policy.clone(),
+        ..RunPlan::default()
+    };
+    run_ensemble_plan(fleet, app, arg_lines, opts, plan, obs)
+}
+
 fn death_plan(device: u32, at_attempt: u32) -> FaultPlan {
     FaultPlan {
         seed: 0,
@@ -74,7 +96,7 @@ fn death_plan(device: u32, at_attempt: u32) -> FaultPlan {
 fn dead_device_reshards_onto_survivors() {
     let reg = DeviceRegistry::parse("a100,a100").unwrap();
     let mut fleet = DeviceFleet::from_registry(&reg);
-    let res = run_ensemble_sharded_resilient(
+    let res = sharded_resilient(
         &mut fleet,
         &app(),
         &lines(),
@@ -87,7 +109,7 @@ fn dead_device_reshards_onto_survivors() {
     )
     .unwrap();
 
-    assert!(res.all_succeeded(), "{:?}", res.ensemble.instances);
+    assert!(res.ensemble.all_succeeded(), "{:?}", res.ensemble.instances);
     assert_eq!(res.recovery.unrecovered, 0);
     assert_eq!(res.dead_devices, vec![1]);
     // Round-robin put the 4 odd instances on device 1; they all died,
@@ -123,7 +145,7 @@ fn death_in_a_later_round_only_reshards_the_still_pending() {
     }
     let reg = DeviceRegistry::parse("a100,a100").unwrap();
     let mut fleet = DeviceFleet::from_registry(&reg);
-    let res = run_ensemble_sharded_resilient(
+    let res = sharded_resilient(
         &mut fleet,
         &app(),
         &lines(),
@@ -138,7 +160,7 @@ fn death_in_a_later_round_only_reshards_the_still_pending() {
         &mut Recorder::disabled(),
     )
     .unwrap();
-    assert!(res.all_succeeded(), "{:?}", res.ensemble.instances);
+    assert!(res.ensemble.all_succeeded(), "{:?}", res.ensemble.instances);
     assert_eq!(res.recovery.unrecovered, 0);
     assert_eq!(res.dead_devices, vec![1]);
 }
@@ -167,7 +189,7 @@ fn all_devices_dead_marks_the_rest_unrecovered() {
     };
     let reg = DeviceRegistry::parse("a100,a100").unwrap();
     let mut fleet = DeviceFleet::from_registry(&reg);
-    let res = run_ensemble_sharded_resilient(
+    let res = sharded_resilient(
         &mut fleet,
         &app(),
         &lines(),
@@ -187,57 +209,6 @@ fn all_devices_dead_marks_the_rest_unrecovered() {
         .all(|o| o.error.as_deref() == Some("no live devices left in the fleet")));
 }
 
-/// With one healthy device the sharded driver IS the single-device
-/// resilient driver — same results, same recovery story.
-#[test]
-fn single_device_delegates_to_resilient() {
-    let plan = FaultPlan {
-        seed: 0,
-        faults: vec![FaultSpec {
-            instance: Some(1),
-            attempt: Some(0),
-            kind: FaultKind::Trap {
-                message: "once".into(),
-            },
-        }],
-        device_deaths: None,
-    };
-    let mut gpu = Gpu::a100();
-    let base = run_ensemble_resilient(
-        &mut gpu,
-        &app(),
-        &lines(),
-        &opts(5),
-        2,
-        &plan,
-        &RecoveryPolicy::default(),
-        &mut Recorder::disabled(),
-    )
-    .unwrap();
-
-    let reg = DeviceRegistry::parse("a100").unwrap();
-    let mut fleet = DeviceFleet::from_registry(&reg);
-    let sharded = run_ensemble_sharded_resilient(
-        &mut fleet,
-        &app(),
-        &lines(),
-        &opts(5),
-        2,
-        Placement::Lpt,
-        &plan,
-        &RecoveryPolicy::default(),
-        &mut Recorder::disabled(),
-    )
-    .unwrap();
-
-    assert_eq!(sharded.devices, 1);
-    assert_eq!(sharded.ensemble.instances, base.ensemble.instances);
-    assert_eq!(sharded.ensemble.stdout, base.ensemble.stdout);
-    assert_eq!(sharded.ensemble.total_time_s, base.ensemble.total_time_s);
-    assert_eq!(sharded.ensemble.metrics, base.ensemble.metrics);
-    assert_eq!(sharded.recovery, base.recovery);
-}
-
 /// Device death composes with cost-model placement: LPT on a
 /// heterogeneous fleet still finishes everything after the fast device
 /// dies.
@@ -245,7 +216,7 @@ fn single_device_delegates_to_resilient() {
 fn lpt_survives_losing_the_fast_device() {
     let reg = DeviceRegistry::parse("a100,a100*0.5").unwrap();
     let mut fleet = DeviceFleet::from_registry(&reg);
-    let res = run_ensemble_sharded_resilient(
+    let res = sharded_resilient(
         &mut fleet,
         &app(),
         &lines(),
@@ -257,8 +228,106 @@ fn lpt_survives_losing_the_fast_device() {
         &mut Recorder::disabled(),
     )
     .unwrap();
-    assert!(res.all_succeeded(), "{:?}", res.ensemble.instances);
+    assert!(res.ensemble.all_succeeded(), "{:?}", res.ensemble.instances);
     assert_eq!(res.recovery.unrecovered, 0);
     assert_eq!(res.dead_devices, vec![0]);
     assert!(res.ensemble.metrics.iter().all(|m| m.device == 1));
+}
+
+/// Fail-fast on a fleet: the lane whose instance exhausted its attempts
+/// stops launching, and everything not yet final is skipped. (Before the
+/// one round loop, fleet runs ignored `fail_fast`.)
+#[test]
+fn fleet_fail_fast_skips_the_rest() {
+    let reg = DeviceRegistry::parse("a100,a100").unwrap();
+    let mut fleet = DeviceFleet::from_registry(&reg);
+    let plan = FaultPlan {
+        seed: 0,
+        faults: vec![FaultSpec {
+            instance: Some(0),
+            attempt: None,
+            kind: FaultKind::Trap {
+                message: "always".into(),
+            },
+        }],
+        device_deaths: None,
+    };
+    let res = sharded_resilient(
+        &mut fleet,
+        &app(),
+        &lines(),
+        &opts(6),
+        1,
+        Placement::RoundRobin,
+        &plan,
+        &RecoveryPolicy {
+            max_attempts: 1,
+            fail_fast: true,
+            ..RecoveryPolicy::default()
+        },
+        &mut Recorder::disabled(),
+    )
+    .unwrap();
+    // Round-robin: device 0 runs {0, 2, 4} one at a time and stops after
+    // instance 0 traps; device 1 finishes {1, 3, 5} in parallel.
+    assert_eq!(res.recovery.skipped, 2);
+    assert_eq!(res.recovery.unrecovered, 3);
+    for i in [2, 4] {
+        assert_eq!(
+            res.ensemble.instances[i].error.as_deref(),
+            Some("skipped: fail-fast")
+        );
+        assert_eq!(res.ensemble.stdout[i], "");
+    }
+    for i in [1, 3, 5] {
+        assert!(res.ensemble.instances[i].succeeded());
+    }
+}
+
+/// Backoff jitter on a fleet: the jittered round waits less than the
+/// synchronized one and replays exactly per seed. (Before the one round
+/// loop, fleet runs used the un-jittered wait whatever the policy.)
+#[test]
+fn fleet_retry_jitter_is_honoured_and_deterministic() {
+    let plan = FaultPlan::scatter_traps(3, 6, 3);
+    let run = |jitter_seed: Option<u64>| {
+        let reg = DeviceRegistry::parse("a100,a100").unwrap();
+        let mut fleet = DeviceFleet::from_registry(&reg);
+        sharded_resilient(
+            &mut fleet,
+            &app(),
+            &lines(),
+            &opts(6),
+            0,
+            Placement::RoundRobin,
+            &plan,
+            &RecoveryPolicy {
+                jitter_seed,
+                ..RecoveryPolicy::default()
+            },
+            &mut Recorder::disabled(),
+        )
+        .unwrap()
+    };
+    let plain = run(None);
+    let jittered = run(Some(11));
+    assert!(plain.ensemble.all_succeeded() && jittered.ensemble.all_succeeded());
+    assert_eq!(plain.recovery.attempts, 2);
+    assert!(
+        jittered.recovery.backoff_s < plain.recovery.backoff_s,
+        "{} vs {}",
+        jittered.recovery.backoff_s,
+        plain.recovery.backoff_s
+    );
+    assert_eq!(
+        jittered.launch_metrics().backoff_s,
+        jittered.recovery.backoff_s
+    );
+    let again = run(Some(11));
+    assert_eq!(again.recovery, jittered.recovery);
+    assert_eq!(again.ensemble.total_time_s, jittered.ensemble.total_time_s);
+    assert_ne!(
+        run(Some(12)).recovery.backoff_s,
+        jittered.recovery.backoff_s
+    );
 }

@@ -83,7 +83,7 @@ impl CriticalPath {
                     let round = first.round;
                     // Per-device lanes in first-seen order, each folding
                     // its launches' addends from zero — exactly the
-                    // sharded drivers' per-round accumulation.
+                    // round loop's per-round accumulation on a fleet.
                     let mut lanes: Vec<(u32, f64, Vec<usize>)> = Vec::new();
                     while let Some(SpanNode::Launch(m)) = g.nodes.get(i) {
                         if !m.concurrent || m.round != round {

@@ -1,19 +1,18 @@
 //! Acceptance properties: the critical path's span sum reproduces the
-//! driver-reported makespan **bit-exactly** across every driver — plain,
-//! batched, resilient under injected faults, and multi-device sharded —
-//! and every blame table's percentages fold to exactly 100.
+//! reported makespan **bit-exactly** for every run preset — plain,
+//! batched, resilient under injected faults, multi-device sharded, and
+//! sharded with retries — and every blame table's percentages fold to
+//! exactly 100.
 
 use device_libc::dl_printf;
-use dgc_core::{
-    run_ensemble_batched_traced, run_ensemble_traced, AppContext, EnsembleOptions, HostApp,
-};
-use dgc_fault::{run_ensemble_resilient, FaultPlan, RecoveryPolicy};
+use dgc_core::{run_ensemble_traced, AppContext, EnsembleOptions, HostApp};
+use dgc_fault::FaultPlan;
 use dgc_insight::{
     blame_devices, blame_instances, blame_stalls, folded_stacks, render_report, validate_folded,
     CriticalPath,
 };
 use dgc_obs::Recorder;
-use dgc_sched::{run_ensemble_sharded, Placement};
+use dgc_sched::{run_ensemble_plan, Placement, RecoveryPolicy, RunPlan, RunResult};
 use gpu_arch::DeviceRegistry;
 use gpu_sim::{DeviceFleet, Gpu, KernelError, TeamCtx};
 use host_rpc::HostServices;
@@ -93,6 +92,24 @@ fn assert_insight_invariants(graph: &dgc_obs::SpanGraph, reported_makespan_s: f6
     assert!(report.contains("bit-exactly"), "{report}");
 }
 
+/// Run `plan` on a fresh fleet parsed from `devices` (e.g. `"a100"`).
+fn run(devices: &str, n: u32, plan: RunPlan<'_>) -> RunResult {
+    let mut fleet = DeviceFleet::from_registry(&DeviceRegistry::parse(devices).unwrap());
+    run_ensemble_plan(
+        &mut fleet,
+        &app(),
+        &lines(),
+        &opts(n),
+        plan,
+        &mut Recorder::disabled(),
+    )
+    .unwrap()
+}
+
+fn batch_of(batch: u32) -> Option<u32> {
+    (batch > 0).then_some(batch)
+}
+
 #[test]
 fn plain_run_replays_bit_exactly() {
     let mut gpu = Gpu::a100();
@@ -118,11 +135,11 @@ proptest! {
     /// the reported total bit-exactly.
     #[test]
     fn batched_runs_replay_bit_exactly(n in 1u32..9, batch in 1u32..5) {
-        let mut gpu = Gpu::a100();
-        let res = run_ensemble_batched_traced(
-            &mut gpu, &app(), &lines(), &opts(n), batch, &mut Recorder::disabled(),
-        )
-        .unwrap();
+        let plan = RunPlan {
+            batch: Some(batch),
+            ..RunPlan::default()
+        };
+        let res = run("a100", n, plan).ensemble;
         prop_assert!(res.all_succeeded());
         let path = CriticalPath::from_graph(&res.graph);
         prop_assert_eq!(path.span_sum_s.to_bits(), res.total_time_s.to_bits());
@@ -152,12 +169,16 @@ proptest! {
             max_attempts: 4,
             ..Default::default()
         };
-        let mut gpu = Gpu::a100();
-        let res = run_ensemble_resilient(
-            &mut gpu, &app(), &lines(), &opts(n), batch, &plan, &policy,
-            &mut Recorder::disabled(),
-        )
-        .unwrap();
+        let res = run(
+            "a100",
+            n,
+            RunPlan {
+                batch: batch_of(batch),
+                faults: Some(&plan),
+                recovery: policy,
+                ..RunPlan::default()
+            },
+        );
         assert_insight_invariants(&res.ensemble.graph, res.ensemble.total_time_s);
         // Retries happened and are visible as rounds (or the plan's traps
         // all landed on the same instances — rounds is still >= 1).
@@ -176,21 +197,51 @@ proptest! {
         policy in 0usize..3,
     ) {
         let spec = vec!["a100"; devices].join(",");
-        let mut fleet = DeviceFleet::from_registry(&DeviceRegistry::parse(&spec).unwrap());
-        let placement = Placement::all()[policy];
-        let res = run_ensemble_sharded(
-            &mut fleet, &app(), &lines(), &opts(n), batch, placement,
-            &mut Recorder::disabled(),
-        )
-        .unwrap();
-        prop_assert!(res.all_succeeded());
+        let plan = RunPlan {
+            batch: batch_of(batch),
+            placement: Placement::all()[policy],
+            ..RunPlan::default()
+        };
+        let res = run(&spec, n, plan);
+        prop_assert!(res.ensemble.all_succeeded());
         let path = CriticalPath::from_graph(&res.ensemble.graph);
-        prop_assert_eq!(path.span_sum_s.to_bits(), res.makespan_s().to_bits());
+        prop_assert_eq!(path.span_sum_s.to_bits(), res.ensemble.total_time_s.to_bits());
         assert_insight_invariants(&res.ensemble.graph, res.ensemble.total_time_s);
         // Each device lane that got instances appears in the graph.
         let lanes = res.ensemble.graph.devices() as usize;
         let busy = res.assignment.iter().filter(|a| !a.is_empty()).count();
         prop_assert!(lanes >= busy, "lanes {} < busy devices {}", lanes, busy);
+    }
+
+    /// Fleet retry rounds: each round folds its device lanes from zero
+    /// on top of the elapsed time plus backoff, and the replay follows
+    /// round by round, bit-exactly.
+    #[test]
+    fn sharded_retry_runs_replay_bit_exactly(
+        n in 2u32..8,
+        batch in 0u32..3,
+        traps in 1u32..4,
+        seed in 0u64..200,
+        jitter in any::<bool>(),
+    ) {
+        let faults = FaultPlan::scatter_traps(seed, n, traps.min(n));
+        let plan = RunPlan {
+            batch: batch_of(batch),
+            placement: Placement::Lpt,
+            faults: Some(&faults),
+            recovery: RecoveryPolicy {
+                max_attempts: 4,
+                jitter_seed: jitter.then_some(seed),
+                ..Default::default()
+            },
+            ..RunPlan::default()
+        };
+        let res = run("a100,a100*0.5", n, plan);
+        prop_assert!(res.ensemble.all_succeeded());
+        let path = CriticalPath::from_graph(&res.ensemble.graph);
+        prop_assert_eq!(path.span_sum_s.to_bits(), res.ensemble.total_time_s.to_bits());
+        assert_insight_invariants(&res.ensemble.graph, res.ensemble.total_time_s);
+        prop_assert!(res.ensemble.graph.rounds() > 1);
     }
 }
 
@@ -198,23 +249,12 @@ proptest! {
 /// the slow device for the larger share of the makespan.
 #[test]
 fn device_blame_follows_the_slow_lane() {
-    let reg = DeviceRegistry::parse("a100,a100*0.25").unwrap();
-    let mut fleet = DeviceFleet::from_registry(&reg);
-    let res = run_ensemble_sharded(
-        &mut fleet,
-        &app(),
-        &lines(),
-        &opts(4),
-        0,
-        Placement::RoundRobin,
-        &mut Recorder::disabled(),
-    )
-    .unwrap();
-    assert!(res.all_succeeded());
+    let res = run("a100,a100*0.25", 4, RunPlan::default());
+    assert!(res.ensemble.all_succeeded());
     let path = CriticalPath::from_graph(&res.ensemble.graph);
     assert_eq!(
         path.span_sum_s.to_bits(),
-        res.makespan_s().to_bits(),
+        res.ensemble.total_time_s.to_bits(),
         "heterogeneous lane fold must stay bit-exact"
     );
     let table = blame_devices(&res.ensemble.graph, &path);

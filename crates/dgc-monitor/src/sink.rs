@@ -131,7 +131,7 @@ impl MonitorSink for MonitorRegistry {
     fn device_dead(&self, device_n: u32) {
         self.counter(
             "dgc_devices_dead",
-            "Whole-device deaths observed by the sharded drivers",
+            "Whole-device deaths observed by the round loop",
             &device(device_n),
         )
         .inc();

@@ -5,18 +5,13 @@
 //! run's operational metrics.
 
 use device_libc::dl_printf;
-use dgc_core::{
-    run_ensemble_batched_traced, run_ensemble_traced, AppContext, EnsembleOptions, HostApp,
-};
-use dgc_fault::{
-    run_ensemble_resilient, run_ensemble_sharded_resilient, FaultPlan, RecoveryPolicy,
-};
+use dgc_core::{AppContext, EnsembleOptions, HostApp};
+use dgc_fault::FaultPlan;
 use dgc_monitor::MonitorRegistry;
 use dgc_obs::{metrics_jsonl, Recorder};
-use dgc_sched::{run_ensemble_sharded, Placement};
+use dgc_sched::{run_ensemble_plan, FaultSource, Placement, RecoveryPolicy, RunPlan};
 use gpu_arch::GpuSpec;
-use gpu_sim::{DeviceFleet, Gpu, KernelError, TeamCtx};
-use host_rpc::HostServices;
+use gpu_sim::{DeviceFleet, KernelError, TeamCtx};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -73,85 +68,34 @@ const DRIVERS: [&str; 5] = [
     "plain",
     "batched",
     "resilient",
-    "fault-sharded",
-    "sched-sharded",
+    "sharded-resilient",
+    "sharded",
 ];
 
-/// Run one driver to completion under `obs` and return the run's
-/// observable artifacts: the Chrome-trace bytes and the metrics JSONL.
+/// Run one preset of the round loop to completion under `obs` and return
+/// the run's observable artifacts: the Chrome-trace bytes and the metrics
+/// JSONL. Fleet presets run on two A100s with round-robin placement.
 fn run_driver(driver: &str, n: u32, batch: u32, seed: u64, obs: &mut Recorder) -> (String, String) {
-    let arg_lines = lines();
-    let placement: Placement = "round-robin".parse().unwrap();
-    let plan = FaultPlan::scatter_traps(seed, n, 1);
-    let policy = RecoveryPolicy::default();
-    let (metrics, launch) = match driver {
-        "plain" => {
-            let mut gpu = Gpu::a100();
-            let r = run_ensemble_traced(
-                &mut gpu,
-                &app(),
-                &arg_lines,
-                &opts(n),
-                HostServices::default(),
-                obs,
-            )
-            .unwrap();
-            (r.metrics.clone(), r.launch_metrics())
-        }
-        "batched" => {
-            let mut gpu = Gpu::a100();
-            let r = run_ensemble_batched_traced(&mut gpu, &app(), &arg_lines, &opts(n), batch, obs)
-                .unwrap();
-            (r.metrics.clone(), r.launch_metrics())
-        }
-        "resilient" => {
-            let mut gpu = Gpu::a100();
-            let r = run_ensemble_resilient(
-                &mut gpu,
-                &app(),
-                &arg_lines,
-                &opts(n),
-                batch,
-                &plan,
-                &policy,
-                obs,
-            )
-            .unwrap();
-            (r.ensemble.metrics.clone(), r.launch_metrics())
-        }
-        "fault-sharded" => {
-            let mut fleet = DeviceFleet::homogeneous(GpuSpec::a100_40gb(), 2);
-            let r = run_ensemble_sharded_resilient(
-                &mut fleet,
-                &app(),
-                &arg_lines,
-                &opts(n),
-                batch,
-                placement,
-                &plan,
-                &policy,
-                obs,
-            )
-            .unwrap();
-            (r.ensemble.metrics.clone(), r.launch_metrics())
-        }
-        "sched-sharded" => {
-            let mut fleet = DeviceFleet::homogeneous(GpuSpec::a100_40gb(), 2);
-            let r = run_ensemble_sharded(
-                &mut fleet,
-                &app(),
-                &arg_lines,
-                &opts(n),
-                batch,
-                placement,
-                obs,
-            )
-            .unwrap();
-            (r.ensemble.metrics.clone(), r.launch_metrics())
-        }
-        other => unreachable!("unknown driver {other}"),
+    let faults = FaultPlan::scatter_traps(seed, n, 1);
+    let resilient = driver.ends_with("resilient");
+    let devices = if driver.starts_with("sharded") { 2 } else { 1 };
+    let plan = RunPlan {
+        batch: (driver != "plain").then_some(batch),
+        placement: Placement::RoundRobin,
+        faults: resilient.then_some(&faults as &dyn FaultSource),
+        recovery: if resilient {
+            RecoveryPolicy::default()
+        } else {
+            RecoveryPolicy::single_attempt()
+        },
+        ..RunPlan::default()
     };
-    (obs.to_chrome_trace(), metrics_jsonl(&metrics, &launch))
+    let mut fleet = DeviceFleet::homogeneous(GpuSpec::a100_40gb(), devices);
+    let r = run_ensemble_plan(&mut fleet, &app(), &lines(), &opts(n), plan, obs).unwrap();
+    (
+        obs.to_chrome_trace(),
+        metrics_jsonl(&r.ensemble.metrics, &r.launch_metrics()),
+    )
 }
 
 proptest! {

@@ -236,19 +236,18 @@ impl SpanGraph {
         self.launches().map(|l| l.round + 1).max().unwrap_or(0)
     }
 
-    /// Replay the drivers' makespan accumulation over the graph:
+    /// Replay the round loop's makespan accumulation over the graph:
     ///
     /// * a backoff node adds its wait to the accumulator;
-    /// * a non-concurrent launch adds its `total_s` directly (plain,
-    ///   batched and single-device resilient drivers keep one running
-    ///   accumulator);
+    /// * a non-concurrent launch adds its `total_s` directly (a
+    ///   one-device run keeps one running accumulator);
     /// * a run of concurrent launches of one round folds each device
-    ///   lane from zero and adds the slowest lane (the sharded drivers'
-    ///   per-round makespan).
+    ///   lane from zero and adds the slowest lane (a fleet round's
+    ///   makespan).
     ///
-    /// Because every addition uses the driver's own addend in the
-    /// driver's own association, the result is bit-exact against the
-    /// reported makespan.
+    /// Because every addition uses the loop's own addend in the loop's
+    /// own association, the result is bit-exact against the reported
+    /// makespan.
     pub fn replay_makespan_s(&self) -> f64 {
         let mut acc = 0.0f64;
         let mut i = 0usize;

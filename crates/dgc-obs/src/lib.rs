@@ -46,4 +46,7 @@ pub use metrics::{
 };
 pub use monitor::{DeviceStamped, MonitorSink};
 pub use recorder::{record_schedule, sm_pid, Recorder, TraceEvent, DEVICE_PID_STRIDE, PID_HOST};
+/// The argument value type of [`Recorder::span_args`] and friends, so
+/// callers can annotate events without depending on `serde` themselves.
+pub use serde::Value;
 pub use timeline::{LaunchTimeline, TimelinePoint};

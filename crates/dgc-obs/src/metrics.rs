@@ -193,7 +193,7 @@ impl From<RpcStats> for RpcCallCounts {
 
 /// Everything the simulator knows about one instance of an ensemble
 /// launch, flattened for export. One JSONL record per instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct InstanceMetrics {
     /// Instance id within the launch (its heap-region tag).
     pub instance: u32,

@@ -11,10 +11,10 @@
 //! * the `timeline` array of metrics schema v5
 //!   ([`crate::LaunchMetrics::timeline`]).
 //!
-//! Batched, resilient and sharded drivers accumulate per-kernel
-//! timelines with [`LaunchTimeline::shift_us`] / [`LaunchTimeline::merge`]
-//! exactly as they shift and merge instance metrics, so the series stays
-//! consistent with `end_time_s` across every driver.
+//! The round loop (`dgc-sched`) accumulates per-kernel timelines with
+//! [`LaunchTimeline::shift_us`] / [`LaunchTimeline::merge`] exactly as it
+//! shifts and merges instance metrics, so the series stays consistent
+//! with `end_time_s` for every run preset.
 
 use crate::recorder::{Recorder, PID_HOST};
 use gpu_sim::UtilizationTimeline;

@@ -13,7 +13,7 @@
 //!   roof they sit on.
 //!
 //! Pilot runs simulate a single instance, so they are cheap relative to
-//! the ensemble, and they are *predictions*: the sharded driver never
+//! the ensemble, and they are *predictions*: the round loop never
 //! feeds them back into reported times.
 
 use dgc_core::{run_ensemble, EnsembleError, EnsembleOptions, HostApp};
@@ -124,15 +124,6 @@ impl InstanceCosts {
     /// Pilot-measured peak heap bytes of `instance`.
     pub fn peak_mem_bytes(&self, instance: u32) -> u64 {
         self.per_instance[instance as usize].peak_mem_bytes
-    }
-
-    /// Largest concurrent prefix of instances `0..n` whose summed pilot
-    /// peaks fit within `capacity_bytes`. At least 1 when `n > 0` — a
-    /// single over-capacity instance still launches alone (and OOMs
-    /// there, exactly as it would without packing).
-    pub fn mem_fit_count(&self, n: u32, capacity_bytes: u64) -> u32 {
-        let peaks: Vec<u64> = (0..n).map(|i| self.peak_mem_bytes(i)).collect();
-        mem_cap_take(&peaks, capacity_bytes, n as usize) as u32
     }
 }
 
@@ -263,8 +254,9 @@ module "cost" {
         // Capacity packing: with room for exactly one big pilot footprint,
         // only the first instance fits the wave.
         let cap = costs.peak_mem_bytes(0) + costs.peak_mem_bytes(1) / 2;
-        assert_eq!(costs.mem_fit_count(2, cap), 1);
-        assert_eq!(costs.mem_fit_count(2, u64::MAX), 2);
+        let peaks = [costs.peak_mem_bytes(0), costs.peak_mem_bytes(1)];
+        assert_eq!(mem_cap_take(&peaks, cap, 2), 1);
+        assert_eq!(mem_cap_take(&peaks, u64::MAX, 2), 2);
     }
 
     #[test]

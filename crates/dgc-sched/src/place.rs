@@ -80,7 +80,7 @@ impl Placement {
     /// `lpt`) refuse to place an instance on a device whose *summed
     /// placed peaks* would exceed its capacity, falling back to the
     /// least-loaded-by-memory device when nothing fits (that shard's
-    /// batched driver then sequences the overflow instead of OOMing).
+    /// round loop then sequences the overflow instead of OOMing).
     /// Round-robin stays cost- and memory-blind. An empty `caps` slice
     /// (or a zero capacity) disables the refusal entirely — the exact
     /// legacy assignment.
@@ -112,7 +112,7 @@ impl Placement {
             let d = argmin_where(load, |d, l| l + cost(i, d), |d| fits(d, mem))
                 // Every device is memory-full: overflow onto the one
                 // with the most free capacity (first wins ties), whose
-                // batched driver sequences the excess instead of OOMing.
+                // round loop sequences the excess instead of OOMing.
                 .unwrap_or_else(|| argmin(mem, |d, _| mem[d] as f64 - cap_of(d) as f64));
             load[d] += cost(i, d);
             mem[d] = mem[d].saturating_add(p);

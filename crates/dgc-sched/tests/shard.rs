@@ -1,15 +1,14 @@
-//! Sharded-driver acceptance: single-device bit-identity with the
-//! batched path (including Chrome-trace bytes), multi-device merge
-//! correctness, and the heterogeneous-fleet makespan ordering the
-//! informed policies must deliver.
+//! Round-loop acceptance: batching past the memory wall, multi-device
+//! merge correctness, the heterogeneous-fleet makespan ordering the
+//! informed policies must deliver, and plan validation.
 
 use device_libc::dl_printf;
-use dgc_core::{run_ensemble_batched_traced, AppContext, EnsembleOptions, HostApp};
+use dgc_core::{run_ensemble, AppContext, EnsembleError, EnsembleOptions, HostApp, PlanError};
 use dgc_obs::{Recorder, DEVICE_PID_STRIDE};
-use dgc_sched::{run_ensemble_sharded, Placement};
-use gpu_arch::DeviceRegistry;
-use gpu_sim::{DeviceFleet, Gpu, KernelError, TeamCtx};
-use proptest::prelude::*;
+use dgc_sched::{run_ensemble_plan, Placement, RecoveryPolicy, RunPlan, RunResult};
+use gpu_arch::{DeviceRegistry, GpuSpec};
+use gpu_sim::{DeviceFleet, KernelError, TeamCtx};
+use host_rpc::HostServices;
 
 const MODULE: &str = r#"
 module "bench" {
@@ -60,52 +59,181 @@ fn opts(n: u32) -> EnsembleOptions {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// The sharded preset: `placement` over the fleet, `batch` per launch
+/// (`0` = unbounded), one attempt, no faults.
+fn sharded(
+    fleet: &mut DeviceFleet,
+    app: &HostApp,
+    arg_lines: &[Vec<String>],
+    opts: &EnsembleOptions,
+    batch: u32,
+    placement: Placement,
+    obs: &mut Recorder,
+) -> Result<RunResult, EnsembleError> {
+    let plan = RunPlan {
+        batch: (batch > 0).then_some(batch),
+        placement,
+        ..RunPlan::default()
+    };
+    run_ensemble_plan(fleet, app, arg_lines, opts, plan, obs)
+}
 
-    /// `--devices 1` is the unsharded path, bit for bit: every result
-    /// field AND the exported Chrome trace match `run_ensemble_batched`
-    /// exactly, for any instance count, batch size and placement policy.
-    #[test]
-    fn single_device_is_bit_identical_to_batched(
-        n in 1u32..7,
-        batch in 1u32..5,
-        policy in 0usize..3,
-    ) {
-        let arg_lines = lines();
-        let mut gpu = Gpu::a100();
-        let mut base_obs = Recorder::enabled();
-        let baseline = run_ensemble_batched_traced(
-            &mut gpu, &app(), &arg_lines, &opts(n), batch, &mut base_obs,
-        )
-        .unwrap();
+fn a100() -> DeviceFleet {
+    DeviceFleet::homogeneous(GpuSpec::a100_40gb(), 1)
+}
 
-        let mut fleet = DeviceFleet::from_registry(&DeviceRegistry::parse("a100").unwrap());
-        let mut obs = Recorder::enabled();
-        let placement = Placement::all()[policy];
-        let sharded = run_ensemble_sharded(
-            &mut fleet, &app(), &arg_lines, &opts(n), batch, placement, &mut obs,
-        )
-        .unwrap();
+#[test]
+fn batched_runs_renumber_instances_onto_one_timeline() {
+    let mut obs = Recorder::enabled();
+    let res = sharded(
+        &mut a100(),
+        &app(),
+        &lines(),
+        &opts(4),
+        2,
+        Placement::RoundRobin,
+        &mut obs,
+    )
+    .unwrap();
+    let ids: Vec<u32> = res.ensemble.metrics.iter().map(|m| m.instance).collect();
+    assert_eq!(ids, vec![0, 1, 2, 3]);
+    assert_eq!(obs.base_us(), 0.0);
+    let kernel_spans = obs.events().iter().filter(|e| e.cat == "kernel").count();
+    assert_eq!(kernel_spans, 2);
+    // The batch bound is what the rollup reports; the name covers all.
+    let lm = res.launch_metrics();
+    assert_eq!((lm.kernel.as_str(), lm.final_batch), ("bench-x4", 2));
+}
 
-        prop_assert_eq!(sharded.devices, 1);
-        prop_assert_eq!(&sharded.ensemble.instances, &baseline.instances);
-        prop_assert_eq!(&sharded.ensemble.stdout, &baseline.stdout);
-        prop_assert_eq!(&sharded.ensemble.report, &baseline.report);
-        prop_assert_eq!(sharded.ensemble.kernel_time_s, baseline.kernel_time_s);
-        prop_assert_eq!(sharded.ensemble.total_time_s, baseline.total_time_s);
-        prop_assert_eq!(
-            &sharded.ensemble.instance_end_times_s,
-            &baseline.instance_end_times_s
-        );
-        prop_assert_eq!(&sharded.ensemble.metrics, &baseline.metrics);
-        prop_assert_eq!(sharded.ensemble.rpc_stats, baseline.rpc_stats);
-        prop_assert_eq!(sharded.makespan_s(), baseline.total_time_s);
-        // The launch rollup agrees too (devices = 1, makespan = total).
-        prop_assert_eq!(sharded.launch_metrics(), baseline.launch_metrics());
-        // Chrome-trace export is byte-identical.
-        prop_assert_eq!(obs.to_chrome_trace(), base_obs.to_chrome_trace());
+#[test]
+fn batched_matches_unbatched_results() {
+    let arg_lines = dgc_core::parse_arg_file("-n 100\n-n 200\n-n 300\n").unwrap();
+    let mut fleet = a100();
+    let full = run_ensemble(
+        fleet.gpu_mut(0),
+        &app(),
+        &arg_lines,
+        &opts(6),
+        HostServices::default(),
+    )
+    .unwrap();
+    let batched = sharded(
+        &mut fleet,
+        &app(),
+        &arg_lines,
+        &opts(6),
+        2,
+        Placement::RoundRobin,
+        &mut Recorder::disabled(),
+    )
+    .unwrap()
+    .ensemble;
+    // Instance ids are per-launch (each batch is its own kernel), so
+    // compare the computed payloads, not the id prefix.
+    let sums = |v: &[String]| -> Vec<String> {
+        v.iter()
+            .map(|s| s.split("sum ").nth(1).unwrap().to_string())
+            .collect()
+    };
+    assert_eq!(sums(&full.stdout), sums(&batched.stdout));
+    // Sequential batches cannot beat the single concurrent launch.
+    assert!(batched.kernel_time_s >= full.kernel_time_s);
+    assert_eq!(batched.instance_end_times_s.len(), 6);
+}
+
+#[test]
+fn batched_ensemble_pushes_past_the_memory_wall() {
+    // 8 paper-scale hogs cannot run concurrently (15 GB each on 40 GB)
+    // but complete in batches of 2.
+    fn hog_main(team: &mut TeamCtx<'_>, _cx: &AppContext) -> Result<i32, KernelError> {
+        let buf = team.serial("alloc", |lane| {
+            lane.dev_reserve(15 << 30)?;
+            lane.dev_alloc(8)
+        })?;
+        team.serial("touch", |lane| lane.st::<u64>(buf, 7))?;
+        Ok(0)
     }
+    let hog = HostApp::new("hog", MODULE, hog_main);
+    let arg_lines = dgc_core::parse_arg_file("-x\n").unwrap();
+    let mut fleet = a100();
+    let concurrent = run_ensemble(
+        fleet.gpu_mut(0),
+        &hog,
+        &arg_lines,
+        &opts(8),
+        HostServices::default(),
+    )
+    .unwrap();
+    assert!(concurrent.any_oom());
+    let res = sharded(
+        &mut fleet,
+        &hog,
+        &arg_lines,
+        &opts(8),
+        2,
+        Placement::RoundRobin,
+        &mut Recorder::disabled(),
+    )
+    .unwrap();
+    assert!(res.ensemble.all_succeeded(), "{:?}", res.ensemble.instances);
+    assert_eq!(res.ensemble.instances.len(), 8);
+    assert_eq!(fleet.gpu(0).mem.stats().live_allocations, 0);
+}
+
+/// Every unrunnable plan is an `InvalidPlan` error before anything
+/// launches — never a panic, never a silent coercion.
+#[test]
+fn invalid_plans_are_errors_not_panics() {
+    let run = |fleet: &mut DeviceFleet, n: u32, plan: RunPlan<'_>| {
+        run_ensemble_plan(
+            fleet,
+            &app(),
+            &lines(),
+            &opts(n),
+            plan,
+            &mut Recorder::disabled(),
+        )
+    };
+    let invalid = |r: Result<RunResult, EnsembleError>| match r {
+        Err(EnsembleError::InvalidPlan(e)) => e,
+        other => panic!(
+            "expected InvalidPlan, got {:?}",
+            other.map(|r| r.ensemble.instances)
+        ),
+    };
+    assert_eq!(
+        invalid(run(&mut a100(), 0, RunPlan::default())),
+        PlanError::NoInstances
+    );
+    assert_eq!(
+        invalid(run(
+            &mut DeviceFleet::from_gpus(Vec::new()),
+            2,
+            RunPlan::default()
+        )),
+        PlanError::NoDevices
+    );
+    let zero_batch = RunPlan {
+        batch: Some(0),
+        ..RunPlan::default()
+    };
+    assert_eq!(
+        invalid(run(&mut a100(), 2, zero_batch)),
+        PlanError::ZeroBatch
+    );
+    let no_attempts = RunPlan {
+        recovery: RecoveryPolicy {
+            max_attempts: 0,
+            ..RecoveryPolicy::default()
+        },
+        ..RunPlan::default()
+    };
+    let err = run(&mut a100(), 2, no_attempts).unwrap_err();
+    assert!(err.to_string().contains("max_attempts"), "{err}");
+    assert!(matches!(
+        err,
+        EnsembleError::InvalidPlan(PlanError::NoAttempts)
+    ));
 }
 
 #[test]
@@ -113,7 +241,7 @@ fn two_device_shard_merges_in_global_order() {
     let reg = DeviceRegistry::parse("a100,a100").unwrap();
     let mut fleet = DeviceFleet::from_registry(&reg);
     let mut obs = Recorder::enabled();
-    let res = run_ensemble_sharded(
+    let res = sharded(
         &mut fleet,
         &app(),
         &lines(),
@@ -124,8 +252,7 @@ fn two_device_shard_merges_in_global_order() {
     )
     .unwrap();
 
-    assert!(res.all_succeeded());
-    assert_eq!(res.devices, 2);
+    assert!(res.ensemble.all_succeeded());
     assert_eq!(res.assignment, vec![vec![0, 2, 4], vec![1, 3, 5]]);
     // Instances keep their global ids and outputs despite the shuffle.
     // (The printed instance id is shard-local — each device numbers its
@@ -145,12 +272,11 @@ fn two_device_shard_merges_in_global_order() {
     // makespan is the slower of the two — not their sum.
     assert!(res.per_device_time_s.iter().all(|&t| t > 0.0));
     let sum: f64 = res.per_device_time_s.iter().sum();
-    assert!(res.makespan_s() < sum);
-    assert_eq!(res.ensemble.total_time_s, res.makespan_s());
+    assert!(res.ensemble.total_time_s < sum);
     // The rollup carries the v4 fields.
     let lm = res.launch_metrics();
     assert_eq!(lm.devices, 2);
-    assert_eq!(lm.makespan_s, res.makespan_s());
+    assert_eq!(lm.makespan_s, res.ensemble.total_time_s);
     assert_eq!(lm.kernel, "bench-x6");
     // Each device's trace lands in its own lane group with a prefixed
     // process name.
@@ -168,7 +294,7 @@ fn sharded_respects_one_line_per_instance_contract() {
     let mut fleet = DeviceFleet::from_registry(&reg);
     let mut o = opts(6);
     o.cycle_args = false;
-    let err = run_ensemble_sharded(
+    let err = sharded(
         &mut fleet,
         &app(),
         &lines(),
@@ -197,7 +323,7 @@ fn informed_policies_beat_round_robin_on_heterogeneous_fleet() {
     let mut makespans = std::collections::HashMap::new();
     for placement in Placement::all() {
         let mut fleet = DeviceFleet::from_registry(&reg);
-        let res = run_ensemble_sharded(
+        let res = sharded(
             &mut fleet,
             &app(),
             &arg_lines,
@@ -207,8 +333,8 @@ fn informed_policies_beat_round_robin_on_heterogeneous_fleet() {
             &mut Recorder::disabled(),
         )
         .unwrap();
-        assert!(res.all_succeeded(), "{placement:?}");
-        makespans.insert(placement.name(), res.makespan_s());
+        assert!(res.ensemble.all_succeeded(), "{placement:?}");
+        makespans.insert(placement.name(), res.ensemble.total_time_s);
 
         if placement.needs_costs() {
             // The big instance must sit on the fast device.
@@ -237,7 +363,7 @@ fn empty_shard_devices_are_tolerated() {
     // yields every instance exactly once.
     let reg = DeviceRegistry::parse("a100,a100,a100").unwrap();
     let mut fleet = DeviceFleet::from_registry(&reg);
-    let res = run_ensemble_sharded(
+    let res = sharded(
         &mut fleet,
         &app(),
         &lines(),
@@ -247,9 +373,9 @@ fn empty_shard_devices_are_tolerated() {
         &mut Recorder::disabled(),
     )
     .unwrap();
-    assert!(res.all_succeeded());
+    assert!(res.ensemble.all_succeeded());
     assert_eq!(res.ensemble.instances.len(), 2);
     assert_eq!(res.assignment[2], Vec::<u32>::new());
     assert_eq!(res.per_device_time_s[2], 0.0);
-    assert!(res.makespan_s() > 0.0);
+    assert!(res.ensemble.total_time_s > 0.0);
 }

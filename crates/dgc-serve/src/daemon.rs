@@ -19,12 +19,13 @@
 use crate::journal::{JobDone, JobSpec, Journal, JournalError, Record};
 use crate::state::{JobPhase, ServeState};
 use dgc_core::{EnsembleError, EnsembleOptions, HostApp};
-use dgc_fault::{run_ensemble_resilient, FaultPlan, RecoveryPolicy};
 use dgc_monitor::{Counter, Gauge, Histogram, MonitorRegistry};
 use dgc_obs::Recorder;
-use dgc_sched::{mem_cap_take, wave_take, InstanceCosts};
+use dgc_sched::{
+    mem_cap_take, run_ensemble_plan, wave_take, InstanceCosts, RecoveryPolicy, RunPlan,
+};
 use gpu_arch::GpuSpec;
-use gpu_sim::Gpu;
+use gpu_sim::DeviceFleet;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -444,26 +445,23 @@ impl Daemon {
             max_attempts: 1,
             ..self.cfg.recovery.clone()
         };
-        let mut gpu = Gpu::a100();
+        let mut fleet = DeviceFleet::homogeneous(GpuSpec::a100_40gb(), 1);
         if self.cfg.mem_aware {
-            // Waves are already sized to capacity by the pilot peaks;
-            // the free-list allocator recycles the per-team churn.
-            gpu.mem.set_free_lists(true);
+            // Waves are already sized to capacity by the pilot peaks at
+            // admission, so the plan itself stays memory-blind (no
+            // per-wave pilots); the free-list allocator recycles the
+            // per-team churn.
+            fleet.gpu_mut(0).mem.set_free_lists(true);
         }
         let mut obs = Recorder::disabled();
         if let Some(reg) = &self.cfg.monitor {
             obs.set_monitor(Arc::clone(reg) as Arc<dyn dgc_obs::MonitorSink>);
         }
-        let res = run_ensemble_resilient(
-            &mut gpu,
-            &app,
-            &arg_lines,
-            &opts,
-            0,
-            &FaultPlan::default(),
-            &policy,
-            &mut obs,
-        )?;
+        let plan = RunPlan {
+            recovery: policy,
+            ..RunPlan::default()
+        };
+        let res = run_ensemble_plan(&mut fleet, &app, &arg_lines, &opts, plan, &mut obs)?;
         self.executed.extend(ids.iter().cloned());
 
         let mut dones = Vec::with_capacity(ids.len());

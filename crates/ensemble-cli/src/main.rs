@@ -17,10 +17,9 @@
 //! `--timeline` samples device utilization over time (`--sample-interval
 //! <cycles>` tunes the rate), adding Chrome counter tracks to the trace
 //! and the schema-v5 `timeline` array to the metrics; `--progress` prints
-//! status lines to stderr (suppressed by `--quiet`) — with `--batch` the
-//! batched driver reports completed/total instances, the observed
-//! instances-per-second rate and an ETA after every batch (`eta --`
-//! while the measured rate is still ~zero).
+//! status lines to stderr (suppressed by `--quiet`): completed/total
+//! instances, the observed instances-per-second rate and an ETA after
+//! every launch (`eta --` while the measured rate is still ~zero).
 //!
 //! Monitoring: `--monitor-out snapshots.om` attaches the `dgc-monitor`
 //! operational-metrics registry to the run and streams OpenMetrics
@@ -36,8 +35,11 @@
 //! stacks.folded` writes an inferno-compatible folded-stack flamegraph,
 //! both rendered from the run's in-process span graph.
 //!
+//! Every run goes through one driver, `dgc_sched::run_ensemble_plan`; the
+//! flags below only fill in its `RunPlan`.
+//!
 //! Fault tolerance: `--faults plan.json` injects a deterministic fault
-//! plan and drives the run through the resilient driver, which re-launches
+//! plan; any recovery flag arms the recovery policy, which re-launches
 //! failed instances (`--max-attempts`), halves the batch on device OOM
 //! (`--auto-batch`), reaps hung instances (`--instance-timeout <cycles>`)
 //! and can abort on the first unrecoverable instance (`--fail-fast`). The
@@ -53,24 +55,18 @@
 //!
 //! Memory-aware packing (default on): pilot runs record each distinct
 //! argument line's peak heap bytes, placement refuses shards that would
-//! exceed device capacity, unbatched runs size their batch to the
-//! capacity fit, and the heap recycles freed blocks through per-team
+//! exceed device capacity, every launch is capped at the capacity fit,
+//! and the heap recycles freed blocks through per-team
 //! free lists. `--no-mem-aware` restores the bit-identical legacy
 //! behavior (first-fit only, memory-blind placement, OOM-then-halve).
 
-use dgc_core::{
-    parse_ensemble_cli, run_ensemble_traced, EnsembleOptions, HostApp, MappingStrategy,
-};
-use dgc_fault::{
-    run_ensemble_resilient_mem_aware, run_ensemble_sharded_resilient_mem_aware, FaultPlan,
-    RecoveryPolicy, RecoveryStats,
-};
+use dgc_core::{parse_ensemble_cli, EnsembleError, EnsembleOptions, MappingStrategy};
+use dgc_fault::FaultPlan;
 use dgc_monitor::{MonitorRegistry, MonitorWriter};
-use dgc_obs::{metrics_jsonl, LaunchMetrics, Recorder};
-use dgc_sched::{run_ensemble_sharded_mem_aware, InstanceCosts, Placement};
+use dgc_obs::{metrics_jsonl, Recorder};
+use dgc_sched::{run_ensemble_plan, FaultSource, Placement, RecoveryPolicy, RunPlan};
 use gpu_arch::GpuSpec;
-use gpu_sim::{DeviceFleet, Gpu};
-use host_rpc::HostServices;
+use gpu_sim::DeviceFleet;
 
 fn usage() -> ! {
     eprintln!("usage: ensemble-cli <app> -f <arguments file> [-n <instances>] [-t <thread limit>] [--pack <M>] [--batch <B>]");
@@ -85,35 +81,6 @@ fn usage() -> ! {
     eprintln!("                    [--monitor-out <snapshots.om>] [--monitor-interval <ms>]");
     eprintln!("  apps: xsbench, rsbench, amgmk, pagerank");
     std::process::exit(2);
-}
-
-/// Pilot-run cost/peak estimation for the memory-aware single-device
-/// paths. Returns `None` when mem-aware mode is off or the argument
-/// file cannot cover the requested instances (the real driver reports
-/// that error itself, keeping the legacy error text).
-fn pilot_costs(
-    mem_aware: bool,
-    app: &HostApp,
-    arg_lines: &[Vec<String>],
-    opts: &EnsembleOptions,
-) -> Option<InstanceCosts> {
-    if !mem_aware || arg_lines.is_empty() {
-        return None;
-    }
-    let n = opts.num_instances.max(1) as usize;
-    if !opts.cycle_args && n > arg_lines.len() {
-        return None;
-    }
-    let lines_of: Vec<Vec<String>> = (0..n)
-        .map(|i| arg_lines[i % arg_lines.len()].clone())
-        .collect();
-    match InstanceCosts::estimate(app, &lines_of, opts, &GpuSpec::a100_40gb()) {
-        Ok(c) => Some(c),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 fn main() {
@@ -201,205 +168,81 @@ fn main() {
         None => None,
     };
 
-    // Any recovery-related flag routes the run through the resilient
-    // driver (an absent --faults file just means an empty plan).
+    // Any recovery-related flag arms the recovery policy; without one
+    // the run gets a single attempt, like the paper's loader.
     let resilient = cli.faults.is_some()
         || cli.auto_batch
         || cli.instance_timeout.is_some()
         || cli.fail_fast
         || cli.retry_jitter.is_some();
-    let plan = if resilient {
-        match &cli.faults {
-            Some(path) => {
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("error: cannot read {path}: {e}");
-                        std::process::exit(1);
-                    }
-                };
-                match FaultPlan::from_json(&text) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        eprintln!("error: {path}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            None => FaultPlan::default(),
-        }
-    } else {
-        FaultPlan::default()
-    };
-    let policy = RecoveryPolicy {
-        max_attempts: cli.max_attempts,
-        oom_split: cli.auto_batch,
-        instance_cycle_budget: cli.instance_timeout,
-        fail_fast: cli.fail_fast,
-        jitter_seed: cli.retry_jitter,
-        ..Default::default()
-    };
-
-    type Recovery = Option<(RecoveryStats, LaunchMetrics)>;
-    // (devices, placement name, makespan, per-device times, dead devices)
-    type MultiDevice = Option<(u32, &'static str, f64, Vec<f64>, Vec<u32>)>;
-    let mut launch_override: Option<LaunchMetrics> = None;
-    let (result, recovery, multi): (_, Recovery, MultiDevice) = if cli.devices > 1 {
-        // Sharded across a homogeneous fleet of A100s.
-        let mut fleet = DeviceFleet::homogeneous(GpuSpec::a100_40gb(), cli.devices);
-        if resilient {
-            match run_ensemble_sharded_resilient_mem_aware(
-                &mut fleet,
-                &app,
-                &arg_lines,
-                &opts,
-                cli.batch,
-                placement,
-                &plan,
-                &policy,
-                &mut obs,
-                cli.mem_aware,
-            ) {
-                Ok(r) => {
-                    let lm = r.launch_metrics();
-                    let info = (
-                        r.devices,
-                        r.placement.name(),
-                        r.ensemble.total_time_s,
-                        r.per_device_time_s.clone(),
-                        r.dead_devices.clone(),
-                    );
-                    (r.ensemble, Some((r.recovery, lm)), Some(info))
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }
-            }
-        } else {
-            match run_ensemble_sharded_mem_aware(
-                &mut fleet,
-                &app,
-                &arg_lines,
-                &opts,
-                cli.batch,
-                placement,
-                &mut obs,
-                cli.mem_aware,
-            ) {
-                Ok(r) => {
-                    launch_override = Some(r.launch_metrics());
-                    let info = (
-                        r.devices,
-                        r.placement.name(),
-                        r.makespan_s(),
-                        r.per_device_time_s.clone(),
-                        Vec::new(),
-                    );
-                    (r.ensemble, None, Some(info))
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-    } else if resilient {
-        let mut gpu = Gpu::a100();
-        // Memory-aware recovery sizes chunks from pilot peaks, so an
-        // over-capacity ensemble sequences up front instead of paying
-        // the OOM-then-halve tax. `--no-mem-aware` (costs = None) keeps
-        // the legacy driver bit-identical.
-        let costs = pilot_costs(cli.mem_aware, &app, &arg_lines, &opts);
-        match run_ensemble_resilient_mem_aware(
-            &mut gpu,
-            &app,
-            &arg_lines,
-            &opts,
-            cli.batch,
-            &plan,
-            &policy,
-            &mut obs,
-            costs.as_ref(),
-        ) {
-            Ok(r) => {
-                let lm = r.launch_metrics();
-                (r.ensemble, Some((r.recovery, lm)), None)
-            }
+    let faults = cli.faults.as_ref().map(|path| {
+        let text = match std::fs::read_to_string(path) {
+            Ok(t) => t,
             Err(e) => {
-                eprintln!("error: {e}");
+                eprintln!("error: cannot read {path}: {e}");
                 std::process::exit(1);
             }
+        };
+        match FaultPlan::from_json(&text) {
+            Ok(p) => p,
+            Err(e) => {
+                eprintln!("error: {path}: {e}");
+                std::process::exit(2);
+            }
+        }
+    });
+    let recovery = if resilient {
+        RecoveryPolicy {
+            max_attempts: cli.max_attempts,
+            oom_split: cli.auto_batch,
+            instance_cycle_budget: cli.instance_timeout,
+            fail_fast: cli.fail_fast,
+            jitter_seed: cli.retry_jitter,
+            ..Default::default()
         }
     } else {
-        let mut gpu = Gpu::a100();
-        // Memory-aware single-device runs recycle blocks through the
-        // heap's free lists and, when no explicit --batch was given,
-        // batch at the pilot-measured capacity fit so memory-hungry
-        // ensembles sequence instead of OOM-ing.
-        let eff_batch = if cli.mem_aware {
-            gpu.mem.set_free_lists(true);
-            match pilot_costs(cli.batch == 0, &app, &arg_lines, &opts) {
-                Some(costs) => {
-                    let n = opts.num_instances.max(1);
-                    let fit = costs.mem_fit_count(n, gpu.mem.capacity());
-                    if fit < n {
-                        fit
-                    } else {
-                        0
-                    }
-                }
-                None => cli.batch,
-            }
+        RecoveryPolicy::single_attempt()
+    };
+    // --progress: completed/total instances, the observed rate and an
+    // ETA after every launch.
+    let started = std::time::Instant::now();
+    let mut report_progress = |done: u32, total: u32| {
+        if done == 0 {
+            return;
+        }
+        let elapsed_s = started.elapsed().as_secs_f64();
+        let rate = if elapsed_s > 0.0 {
+            done as f64 / elapsed_s
         } else {
-            cli.batch
+            0.0
         };
-        let res = if eff_batch > 0 {
-            // Per-batch progress with rate + ETA from the wall clock and
-            // the completed/total instance counts.
-            let report_progress = cli.progress && !cli.quiet;
-            let started = std::time::Instant::now();
-            dgc_core::run_ensemble_batched_progress(
-                &mut gpu,
-                &app,
-                &arg_lines,
-                &opts,
-                eff_batch,
-                &mut obs,
-                &mut |done, total| {
-                    if !report_progress || done == 0 {
-                        return;
-                    }
-                    let elapsed_s = started.elapsed().as_secs_f64();
-                    let rate = if elapsed_s > 0.0 {
-                        done as f64 / elapsed_s
-                    } else {
-                        0.0
-                    };
-                    let eta = dgc_core::format_eta_s(u64::from(total.saturating_sub(done)), rate);
-                    eprintln!(
-                        "progress: {done}/{total} instances | {rate:.1} instances/s | eta {eta}"
-                    );
-                },
-            )
-        } else {
-            run_ensemble_traced(
-                &mut gpu,
-                &app,
-                &arg_lines,
-                &opts,
-                HostServices::default(),
-                &mut obs,
-            )
-        };
-        match res {
-            Ok(r) => (r, None, None),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
+        let eta = dgc_core::format_eta_s(u64::from(total.saturating_sub(done)), rate);
+        eprintln!("progress: {done}/{total} instances | {rate:.1} instances/s | eta {eta}");
+    };
+    let plan = RunPlan {
+        batch: (cli.batch > 0).then_some(cli.batch),
+        placement,
+        faults: faults.as_ref().map(|p| p as &dyn FaultSource),
+        recovery,
+        mem_aware: cli.mem_aware,
+        progress: (cli.progress && !cli.quiet)
+            .then_some(&mut report_progress as &mut dyn FnMut(u32, u32)),
+    };
+    let mut fleet = DeviceFleet::homogeneous(GpuSpec::a100_40gb(), cli.devices);
+    let run = match run_ensemble_plan(&mut fleet, &app, &arg_lines, &opts, plan, &mut obs) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("error: {e}");
+            // A plan the loop rejects is a bad argument (usage, exit 2).
+            let code = if matches!(e, EnsembleError::InvalidPlan(_)) {
+                2
+            } else {
+                1
+            };
+            std::process::exit(code);
         }
     };
+    let result = &run.ensemble;
 
     if !cli.quiet {
         for (i, out) in result.stdout.iter().enumerate() {
@@ -423,20 +266,23 @@ fn main() {
         result.total_time_s * 1e3,
         result.rpc_stats.total()
     );
-    if let Some((devices, placement_name, makespan_s, per_device, dead)) = &multi {
-        let per: Vec<String> = per_device
+    if cli.devices > 1 {
+        let per: Vec<String> = run
+            .per_device_time_s
             .iter()
             .map(|t| format!("{:.3}", t * 1e3))
             .collect();
         print!(
-            "devices {devices} (placement {placement_name}) | makespan {:.3} ms | per-device ms [{}]",
-            makespan_s * 1e3,
+            "devices {} (placement {}) | makespan {:.3} ms | per-device ms [{}]",
+            cli.devices,
+            placement.name(),
+            run.ensemble.total_time_s * 1e3,
             per.join(", ")
         );
-        if dead.is_empty() {
+        if run.dead_devices.is_empty() {
             println!();
         } else {
-            let d: Vec<String> = dead.iter().map(|d| d.to_string()).collect();
+            let d: Vec<String> = run.dead_devices.iter().map(|d| d.to_string()).collect();
             println!(" | dead devices [{}]", d.join(", "));
         }
     }
@@ -454,7 +300,7 @@ fn main() {
     // run is synchronous, so the periodic status collapses into one line
     // per launch, emitted at completion.
     if cli.progress && !cli.quiet {
-        let recovered = recovery.as_ref().map(|(r, _)| r.recovered).unwrap_or(0);
+        let recovered = run.recovery.recovered;
         // Timeline-sampled mean when --timeline ran; otherwise the
         // launch-aggregate issue utilization.
         let util = dgc_core::utilization_mean(&result.timeline.issue_rates())
@@ -467,7 +313,8 @@ fn main() {
             util * 100.0
         );
     }
-    if let Some((rec, _)) = &recovery {
+    if resilient {
+        let rec = &run.recovery;
         println!(
             "recovery: attempts {} | retried {} | recovered {} | unrecovered {} | oom splits {} (final batch {}) | backoff {:.3} ms",
             rec.attempts,
@@ -513,12 +360,7 @@ fn main() {
         );
     }
     if let Some(path) = &cli.metrics_out {
-        let launch = recovery
-            .as_ref()
-            .map(|(_, lm)| lm.clone())
-            .or(launch_override)
-            .unwrap_or_else(|| result.launch_metrics());
-        let jsonl = metrics_jsonl(&result.metrics, &launch);
+        let jsonl = metrics_jsonl(&result.metrics, &run.launch_metrics());
         if let Err(e) = dgc_obs::write_atomic(path, jsonl) {
             eprintln!("error: cannot write {path}: {e}");
             std::process::exit(1);

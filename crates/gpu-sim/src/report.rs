@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// `sim_time_s` is the quantity the paper's evaluation uses (`T1`, `TN`);
 /// the remaining fields explain *why* the kernel took that long.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
     pub kernel_name: String,
     /// Kernel duration in device cycles, excluding launch overhead.

@@ -16,6 +16,10 @@
 //! * [`core`] — **the paper's contribution**: the offload runtime with the
 //!   plain loader \[26\] and the ensemble loader (`-f/-n/-t`, instance →
 //!   team mapping, packed `(N/M, M, 1)` mapping);
+//! * [`sched`] — the one ensemble driver: a round loop over a `RunPlan`
+//!   that batches past the memory wall, retries failed instances and
+//!   shards across a simulated fleet;
+//! * [`obs`] — traces, per-instance metrics and the causal span graph;
 //! * [`apps`] — the evaluation benchmarks (XSBench, RSBench, AMGmk,
 //!   Page-Rank) ported to the device API with host references.
 //!
@@ -42,6 +46,8 @@ pub use dgc_compiler as compiler;
 pub use dgc_core as core;
 pub use dgc_fault as fault;
 pub use dgc_ir as ir;
+pub use dgc_obs as obs;
+pub use dgc_sched as sched;
 pub use gpu_arch as arch;
 pub use gpu_mem as mem;
 pub use gpu_sim as sim;

@@ -7,11 +7,12 @@
 //!   plus the batched extension past the memory wall.
 
 use ensemble_gpu::apps;
-use ensemble_gpu::core::{
-    run_ensemble, run_ensemble_batched, run_multi_team, EnsembleOptions, Loader,
-};
+use ensemble_gpu::arch::GpuSpec;
+use ensemble_gpu::core::{run_ensemble, run_multi_team, EnsembleOptions, Loader};
+use ensemble_gpu::obs::Recorder;
 use ensemble_gpu::rpc::HostServices;
-use ensemble_gpu::sim::Gpu;
+use ensemble_gpu::sched::{run_ensemble_plan, RunPlan};
+use ensemble_gpu::sim::{DeviceFleet, Gpu};
 
 const ARGS: [&str; 4] = ["-l", "120", "-g", "16"];
 
@@ -135,9 +136,9 @@ fn batched_ensemble_completes_what_concurrent_cannot() {
         thread_limit: 32,
         ..Default::default()
     };
-    let mut gpu = Gpu::a100();
+    let mut fleet = DeviceFleet::homogeneous(GpuSpec::a100_40gb(), 1);
     let concurrent = run_ensemble(
-        &mut gpu,
+        fleet.gpu_mut(0),
         &app,
         std::slice::from_ref(&argv),
         &opts,
@@ -146,7 +147,20 @@ fn batched_ensemble_completes_what_concurrent_cannot() {
     .unwrap();
     assert!(concurrent.any_oom());
 
-    let batched = run_ensemble_batched(&mut gpu, &app, &[argv], &opts, 4).unwrap();
+    let plan = RunPlan {
+        batch: Some(4),
+        ..RunPlan::default()
+    };
+    let batched = run_ensemble_plan(
+        &mut fleet,
+        &app,
+        &[argv],
+        &opts,
+        plan,
+        &mut Recorder::disabled(),
+    )
+    .unwrap()
+    .ensemble;
     assert!(batched.all_succeeded(), "{:?}", batched.instances);
     let reference = apps::pagerank::reference_checksum(&apps::pagerank::PrParams {
         vertices: 200,
@@ -157,5 +171,5 @@ fn batched_ensemble_completes_what_concurrent_cannot() {
         let printed = checksum(out);
         assert!((printed - reference).abs() <= reference.abs() * 1e-9);
     }
-    assert_eq!(gpu.mem.stats().live_allocations, 0);
+    assert_eq!(fleet.gpu(0).mem.stats().live_allocations, 0);
 }
