@@ -104,8 +104,20 @@ cargo run -q --release -p dgc-insight --bin dgc-insight -- append \
 cargo run -q --release -p dgc-insight --bin dgc-insight -- report \
     --ledger "$PROF_TMP/ledger.jsonl" --out "$PROF_TMP/ledger_report.md"
 test -s "$PROF_TMP/ledger_report.md"
-cargo run -q --release -p dgc-insight --bin dgc-insight -- check \
-    --ledger "$PROF_TMP/ledger.jsonl" --tolerance 0.8
+ledger_check=$(cargo run -q --release -p dgc-insight --bin dgc-insight -- check \
+    --ledger "$PROF_TMP/ledger.jsonl" --tolerance 0.8)
+echo "$ledger_check"
+# A gate that compared against nothing passed vacuously: fail, so a
+# harness change that re-fingerprints the sections cannot silently
+# orphan the history.
+if grep -q "no comparable prior runs" <<< "$ledger_check"; then
+    echo "ledger gate: no checked-in run matches this harness's config fingerprint." >&2
+    echo "Re-baseline: run bench_harness twice and append both runs, e.g." >&2
+    echo "  cargo run --release -p dgc-bench --bin bench_harness -- --out /tmp/b.json" >&2
+    echo "  cargo run --release -p dgc-insight -- append --bench /tmp/b.json --ledger results/ledger.jsonl" >&2
+    echo "then commit results/ledger.jsonl." >&2
+    exit 1
+fi
 # Critical-path report + flamegraph from a figure-6-shaped run: the
 # report must certify the bit-exact makespan replay, and the folded
 # stacks must pass the format check.

@@ -27,6 +27,9 @@ pub struct AmgParams {
     pub sweeps: u64,
 }
 
+/// The flags [`AmgParams::parse`] reads as numbers.
+pub(crate) const NUMERIC_FLAGS: [&str; 2] = ["-n", "-s"];
+
 impl AmgParams {
     pub fn parse(argv: &[String]) -> AmgParams {
         AmgParams {

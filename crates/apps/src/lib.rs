@@ -52,6 +52,20 @@ pub fn app_by_name(name: &str) -> Option<HostApp> {
     all_apps().into_iter().find(|a| a.name == name)
 }
 
+/// Validate one argument line of benchmark `name` before anything runs:
+/// every numeric flag must carry a non-negative integer. Names outside
+/// the registry have no known flags and pass.
+pub fn validate_args(name: &str, args: &[String]) -> Result<(), String> {
+    let flags: &[&str] = match name {
+        "xsbench" => &xsbench::NUMERIC_FLAGS,
+        "rsbench" => &rsbench::NUMERIC_FLAGS,
+        "amgmk" => &amgmk::NUMERIC_FLAGS,
+        "pagerank" => &pagerank::NUMERIC_FLAGS,
+        _ => &[],
+    };
+    common::check_numeric_flags(args, flags)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,6 +74,17 @@ mod tests {
     fn registry_has_the_papers_four() {
         let names: Vec<&str> = all_apps().iter().map(|a| a.name).collect();
         assert_eq!(names, vec!["xsbench", "rsbench", "amgmk", "pagerank"]);
+    }
+
+    #[test]
+    fn validation_covers_every_numeric_flag() {
+        let line = |s: &str| s.split(' ').map(String::from).collect::<Vec<_>>();
+        assert!(validate_args("xsbench", &line("-l 100 -g 16 -s small")).is_ok());
+        assert!(validate_args("xsbench", &line("-l -5 -g 16")).is_err());
+        assert!(validate_args("rsbench", &line("-w -1")).is_err());
+        assert!(validate_args("amgmk", &line("-s -2")).is_err());
+        assert!(validate_args("pagerank", &line("-i x")).is_err());
+        assert!(validate_args("custom", &line("-l -5")).is_ok());
     }
 
     #[test]

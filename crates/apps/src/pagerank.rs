@@ -34,6 +34,9 @@ pub struct PrParams {
     pub iterations: u64,
 }
 
+/// The flags [`PrParams::parse`] reads as numbers.
+pub(crate) const NUMERIC_FLAGS: [&str; 3] = ["-v", "-d", "-i"];
+
 impl PrParams {
     pub fn parse(argv: &[String]) -> PrParams {
         PrParams {

@@ -27,6 +27,9 @@ pub struct RsParams {
     pub lookups: u64,
 }
 
+/// The flags [`RsParams::parse`] reads as numbers.
+pub(crate) const NUMERIC_FLAGS: [&str; 3] = ["-w", "-p", "-l"];
+
 impl RsParams {
     pub fn parse(argv: &[String]) -> RsParams {
         RsParams {

@@ -43,6 +43,9 @@ pub struct XsParams {
     pub nuclides: u64,
 }
 
+/// The flags [`XsParams::parse`] reads as numbers.
+pub(crate) const NUMERIC_FLAGS: [&str; 3] = ["-g", "-l", "-n"];
+
 impl XsParams {
     pub fn parse(argv: &[String]) -> XsParams {
         let size = match crate::common::flag_value(argv, "-s") {

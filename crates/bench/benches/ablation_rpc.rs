@@ -21,7 +21,7 @@ fn chatty_main(
     cx: &dgc_core::AppContext,
 ) -> Result<i32, gpu_sim::KernelError> {
     let lines: u64 = cx.argv.get(1).and_then(|v| v.parse().ok()).unwrap_or(10);
-    let instance = cx.instance;
+    let instance = cx.instance();
     team.serial("chatter", |lane| {
         for k in 0..lines {
             dl_printf(lane, "instance %d line %d\n", &[instance.into(), k.into()])?;

@@ -2,6 +2,7 @@ use dgc_compiler::CompiledImage;
 use dgc_ir::GlobalPlacement;
 use gpu_mem::DevicePtr;
 use gpu_sim::{KernelError, SharedBuf, TeamCtx};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 /// Where the loader placed one module global for this team, following the
@@ -23,13 +24,47 @@ pub struct AppContext {
     pub argv: Vec<String>,
     /// Module globals, placed per the compiled image.
     pub globals: BTreeMap<String, GlobalSlot>,
-    /// Instance id (equals the team id under the default mapping).
-    pub instance: u32,
+    /// Instance id (equals the team id under the default mapping); read
+    /// through [`AppContext::instance`].
+    instance: u32,
+    /// [`AppContext::instance`] was called.
+    instance_read: Cell<bool>,
     /// Total instances in the ensemble.
     pub num_instances: u32,
 }
 
 impl AppContext {
+    pub fn new(
+        argv: Vec<String>,
+        globals: BTreeMap<String, GlobalSlot>,
+        instance: u32,
+        num_instances: u32,
+    ) -> Self {
+        Self {
+            argv,
+            globals,
+            instance,
+            instance_read: Cell::new(false),
+            num_instances,
+        }
+    }
+
+    /// This instance's id. An application that reads it depends on its
+    /// identity, so the loader keeps its team out of team replay.
+    pub fn instance(&self) -> u32 {
+        self.instance_read.set(true);
+        self.instance
+    }
+
+    /// Run `main` on `team` and report an identity read to the team.
+    pub fn run(&self, team: &mut TeamCtx<'_>, main: AppMainFn) -> Result<i32, KernelError> {
+        let result = main(team, self);
+        if self.instance_read.get() {
+            team.mark_identity_read();
+        }
+        result
+    }
+
     /// Look up a global that must exist (the compiler verified the module).
     pub fn global(&self, name: &str) -> Result<GlobalSlot, KernelError> {
         self.globals.get(name).copied().ok_or_else(|| {
@@ -111,12 +146,7 @@ mod tests {
     fn context_lookup_and_argc() {
         let mut globals = BTreeMap::new();
         globals.insert("g".to_string(), GlobalSlot::Device(DevicePtr(0x7000)));
-        let cx = AppContext {
-            argv: vec!["prog".into(), "-n".into(), "5".into()],
-            globals,
-            instance: 2,
-            num_instances: 4,
-        };
+        let cx = AppContext::new(vec!["prog".into(), "-n".into(), "5".into()], globals, 2, 4);
         assert_eq!(cx.argc(), 3);
         assert!(matches!(cx.global("g"), Ok(GlobalSlot::Device(_))));
         assert!(cx.global("missing").is_err());

@@ -8,9 +8,12 @@ use dgc_obs::{
     LaunchTimeline, Recorder, RpcCallCounts, SpanGraph, METRICS_SCHEMA_VERSION, PID_HOST,
 };
 use gpu_mem::{AllocError, TransferDirection};
-use gpu_sim::{Gpu, InjectedTeamFault, KernelError, KernelSpec, SimError, SimReport, TeamOutcome};
-use host_rpc::{HostServices, RpcFaultHook, RpcServer, RpcStats};
+use gpu_sim::{
+    Gpu, InjectedTeamFault, KernelError, KernelSpec, SimError, SimReport, TeamOutcome, TeamReplay,
+};
+use host_rpc::{HostServices, Request, RpcFaultHook, RpcServer, RpcStats};
 use serde::Value;
+use std::collections::HashMap;
 
 /// How instances map onto the GPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,6 +132,9 @@ pub struct EnsembleResult {
     pub graph: SpanGraph,
     /// Device-heap occupancy rollup (metrics schema v6).
     pub heap: HeapUsage,
+    /// Instances whose team replayed an identical sibling's effects
+    /// instead of executing (`DESIGN.md` §4.10).
+    pub replayed_teams: u32,
 }
 
 impl EnsembleResult {
@@ -476,6 +482,19 @@ pub fn run_ensemble_injected(
         }) as host_rpc::RpcObserver
     });
 
+    // Team replay classes: instances with token-equal argument lines run
+    // the same program on the same input. An RPC fault source answers by
+    // call count, so no recorded reply would hold for a sibling.
+    let mut lines: HashMap<&[String], u32> = HashMap::new();
+    let class_of_team: Vec<u32> = argvs
+        .iter()
+        .map(|a| {
+            let next = lines.len() as u32;
+            *lines.entry(a).or_insert(next)
+        })
+        .collect();
+    let replayable = faults.rpc_fault.is_none();
+
     let (server, client) = RpcServer::spawn_observed(services, faults.rpc_fault, rpc_observer);
     let kernel_name = format!("{}-x{}", app.name, n);
     let mut spec = KernelSpec::new(&kernel_name, n, lanes_per_team);
@@ -492,6 +511,10 @@ pub fn run_ensemble_injected(
     spec.collect_stalls = true;
     spec.sample_interval = opts.sample_interval;
     spec.on_team_done = team_hook.as_ref().map(|h| h as &dyn Fn(u32, u32));
+    spec.replay = replayable.then_some(TeamReplay {
+        class_of_team: &class_of_team,
+        relabel: &relabel_rpc,
+    });
 
     // Heap high-water marks are per launch: restart them from the live
     // bytes (module globals) so instance peaks measure this kernel only.
@@ -506,15 +529,9 @@ pub fn run_ensemble_injected(
     let argvs_ref = &argvs;
     let mut hook = make_rpc_hook(&client);
     let launch = gpu.launch(&spec, Some(&mut hook), move |team| {
-        let i = team.team_id();
+        let i = team.input_slot();
         let globals = build_globals(team, image_ref, dg_ref)?;
-        let cx = AppContext {
-            argv: argvs_ref[i as usize].clone(),
-            globals,
-            instance: i,
-            num_instances: n,
-        };
-        main_fn(team, &cx)
+        AppContext::new(argvs_ref[i as usize].clone(), globals, i, n).run(team, main_fn)
     });
 
     // Heap occupancy while the kernel ran, read before instance teardown
@@ -744,7 +761,15 @@ pub fn run_ensemble_injected(
         timeline,
         graph,
         heap,
+        replayed_teams: launch.replayed_teams,
     })
+}
+
+/// Team replay's relabelling of a recorded RPC payload
+/// ([`Request::relabel`]).
+fn relabel_rpc(payload: &[u8], from: u32, to: u32) -> Option<Vec<u8>> {
+    let req = Request::decode(payload).ok()?;
+    req.relabel(from, to).map(|r| r.encode())
 }
 
 /// The enhanced loader's command line (paper §3.2): `-f <file>`,
@@ -1104,7 +1129,7 @@ module "bench" {
         let buf = team.serial("alloc", |lane| lane.dev_alloc(8 * n))?;
         team.parallel_for("init", n, |i, lane| lane.st_idx::<f64>(buf, i, i as f64))?;
         let sum = team.parallel_for_reduce_f64("sum", n, |i, lane| lane.ld_idx::<f64>(buf, i))?;
-        let instance = cx.instance;
+        let instance = cx.instance();
         team.serial("print", |lane| {
             dl_printf(
                 lane,
@@ -1122,6 +1147,29 @@ module "bench" {
 
     fn lines(text: &str) -> Vec<Vec<String>> {
         parse_arg_file(text).unwrap()
+    }
+
+    #[test]
+    fn instances_that_read_their_id_are_never_replayed() {
+        // Identical lines, but each instance prints its own id: replaying
+        // a sibling would print the leader's.
+        let mut gpu = Gpu::a100();
+        let opts = EnsembleOptions {
+            num_instances: 4,
+            thread_limit: 32,
+            cycle_args: true,
+            ..Default::default()
+        };
+        let res = run_ensemble(
+            &mut gpu,
+            &app(),
+            &lines("-n 100\n"),
+            &opts,
+            HostServices::default(),
+        )
+        .unwrap();
+        assert_eq!(res.replayed_teams, 0);
+        assert_eq!(res.stdout[3], format!("instance 3 sum {:.1}\n", 4950.0));
     }
 
     #[test]

@@ -175,13 +175,7 @@ impl Loader {
         let mut hook = make_rpc_hook(&client);
         let launch = gpu.launch(&spec, Some(&mut hook), move |team| {
             let globals = build_globals(team, image_ref, dg_ref)?;
-            let cx = AppContext {
-                argv: argv_ref.clone(),
-                globals,
-                instance: team.team_id(),
-                num_instances: 1,
-            };
-            main_fn(team, &cx)
+            AppContext::new(argv_ref.clone(), globals, team.input_slot(), 1).run(team, main_fn)
         });
 
         // Tear down device state regardless of launch outcome.

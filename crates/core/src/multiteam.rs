@@ -134,13 +134,7 @@ pub fn run_multi_team(
         );
         outcome = (|| {
             let globals = build_globals(&mut ctx, &image, &device_globals)?;
-            let cx = AppContext {
-                argv: argv.clone(),
-                globals,
-                instance: 0,
-                num_instances: 1,
-            };
-            (app.main)(&mut ctx, &cx)
+            AppContext::new(argv.clone(), globals, 0, 1).run(&mut ctx, app.main)
         })();
         trace = ctx.finish();
     }

@@ -25,7 +25,7 @@ pub fn dl_fopen(
     match send(
         lane,
         Request::FOpen {
-            instance: lane.tag(),
+            instance: lane.rpc_instance(),
             path: path.to_string(),
             mode: mode.to_string(),
         },
@@ -43,7 +43,7 @@ pub fn dl_fclose(lane: &mut LaneCtx<'_, '_>, f: DlFile) -> Result<(), KernelErro
     match send(
         lane,
         Request::FClose {
-            instance: lane.tag(),
+            instance: lane.rpc_instance(),
             fd: f.fd,
         },
     )? {
@@ -65,7 +65,7 @@ pub fn dl_fread(
     match send(
         lane,
         Request::FRead {
-            instance: lane.tag(),
+            instance: lane.rpc_instance(),
             fd: f.fd,
             len: n as u32,
         },
@@ -97,7 +97,7 @@ pub fn dl_fwrite(
     match send(
         lane,
         Request::FWrite {
-            instance: lane.tag(),
+            instance: lane.rpc_instance(),
             fd: f.fd,
             data,
         },
@@ -122,7 +122,7 @@ pub fn dl_fseek(
     match send(
         lane,
         Request::FSeek {
-            instance: lane.tag(),
+            instance: lane.rpc_instance(),
             fd: f.fd,
             offset,
             whence,

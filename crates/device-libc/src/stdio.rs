@@ -30,7 +30,7 @@ pub fn dl_printf(
     let resp = send(
         lane,
         Request::Stdout {
-            instance: lane.tag(),
+            instance: lane.rpc_instance(),
             text,
         },
     )?;
@@ -55,7 +55,7 @@ pub fn dl_eprintf(
     match send(
         lane,
         Request::Stderr {
-            instance: lane.tag(),
+            instance: lane.rpc_instance(),
             text,
         },
     )? {
@@ -100,7 +100,7 @@ pub fn dl_exit(lane: &mut LaneCtx<'_, '_>, code: i32) -> Result<(), KernelError>
     match send(
         lane,
         Request::Exit {
-            instance: lane.tag(),
+            instance: lane.rpc_instance(),
             code,
         },
     )? {
@@ -116,7 +116,7 @@ pub fn dl_clock_ns(lane: &mut LaneCtx<'_, '_>) -> Result<u64, KernelError> {
     match send(
         lane,
         Request::Clock {
-            instance: lane.tag(),
+            instance: lane.rpc_instance(),
         },
     )? {
         Response::Clock(ns) => Ok(ns),

@@ -29,7 +29,7 @@ fn stream_main(team: &mut TeamCtx<'_>, cx: &AppContext) -> Result<i32, KernelErr
     let buf = team.serial("alloc", |lane| lane.dev_alloc(8 * n))?;
     team.parallel_for("init", n, |i, lane| lane.st_idx::<f64>(buf, i, i as f64))?;
     let sum = team.parallel_for_reduce_f64("sum", n, |i, lane| lane.ld_idx::<f64>(buf, i))?;
-    let instance = cx.instance;
+    let instance = cx.instance();
     team.serial("print", |lane| {
         dl_printf(
             lane,

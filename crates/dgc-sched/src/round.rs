@@ -294,6 +294,7 @@ struct Tally<'p> {
     timeline: LaunchTimeline,
     graph: SpanGraph,
     heap: HeapUsage,
+    replayed_teams: u32,
     /// Instances to re-launch next round.
     next_pending: Vec<u32>,
     round_oom: bool,
@@ -384,6 +385,7 @@ impl Tally<'_> {
         *slot = (*slot).max(peak);
         self.heap.fragmentation = self.heap.fragmentation.max(res.heap.fragmentation);
         self.heap.alloc_fallbacks += res.heap.alloc_fallbacks;
+        self.replayed_teams += res.replayed_teams;
         if let Some(progress) = self.progress.as_mut() {
             progress(self.finished, self.n);
         }
@@ -499,6 +501,7 @@ pub fn run_ensemble_plan(
             peak_bytes: vec![0; m],
             ..HeapUsage::default()
         },
+        replayed_teams: 0,
         next_pending: Vec::new(),
         round_oom: false,
         finished: 0,
@@ -787,6 +790,7 @@ pub fn run_ensemble_plan(
             timeline: tally.timeline,
             graph: tally.graph,
             heap: tally.heap,
+            replayed_teams: tally.replayed_teams,
         },
         recovery: stats,
         assignment,

@@ -295,8 +295,8 @@ impl Daemon {
     }
 
     /// Apply one admission op, journaling write-ahead. Submissions of
-    /// unknown apps are rejected *before* the journal sees them, so a
-    /// journaled job is always runnable.
+    /// unknown apps or with invalid arguments are rejected *before* the
+    /// journal sees them, so a journaled job is always runnable.
     pub fn apply(&mut self, op: &crate::stream::StreamOp) -> Result<Applied, ServeError> {
         use crate::stream::StreamOp;
         match op {
@@ -304,14 +304,15 @@ impl Daemon {
                 if self.state.contains(&spec.id) {
                     return Ok(Applied::Duplicate);
                 }
-                if (self.cfg.resolve)(&spec.app).is_none() {
+                let invalid = match (self.cfg.resolve)(&spec.app) {
+                    None => Some(format!("unknown app `{}`", spec.app)),
+                    Some(_) => dgc_apps::validate_args(&spec.app, &spec.args).err(),
+                };
+                if let Some(why) = invalid {
                     if let Some(m) = &self.metrics {
                         m.rejected.inc();
                     }
-                    return Ok(Applied::Rejected(format!(
-                        "job `{}`: unknown app `{}`",
-                        spec.id, spec.app
-                    )));
+                    return Ok(Applied::Rejected(format!("job `{}`: {why}", spec.id)));
                 }
                 self.journal.append(&Record::Submitted(spec.clone()))?;
                 self.state.admit(spec.clone());

@@ -329,3 +329,23 @@ fn monitor_metrics_track_admission_waves_and_retries() {
     // The wave driver's own sink events flow through the same registry.
     assert!(text.contains("dgc_instances"));
 }
+
+#[test]
+fn negative_numeric_flags_are_rejected_before_journaling() {
+    let path = tmp("negative.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let mut d = Daemon::create(&path, ServeConfig::default()).unwrap();
+    let before = d.journal_bytes();
+    match d.apply(&submit("neg", "xsbench", &["-l", "-5", "-g", "16"])) {
+        Ok(dgc_serve::Applied::Rejected(why)) => {
+            assert!(
+                why.contains("neg") && why.contains("-l") && why.contains("`-5`"),
+                "{why}"
+            );
+        }
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+    assert_eq!(d.journal_bytes(), before, "nothing journaled");
+    let ok = d.apply(&submit("pos", "xsbench", &["-l", "5", "-g", "16"]));
+    assert!(matches!(ok, Ok(dgc_serve::Applied::Admitted)));
+}

@@ -117,6 +117,13 @@ fn main() {
         }
     };
 
+    for (i, line) in arg_lines.iter().enumerate() {
+        if let Err(e) = dgc_apps::validate_args(&app_name, line) {
+            eprintln!("error: argument line {}: {e}", i + 1);
+            std::process::exit(2);
+        }
+    }
+
     let opts = EnsembleOptions {
         num_instances: cli.num_instances.unwrap_or(arg_lines.len() as u32),
         thread_limit: cli.thread_limit,

@@ -431,3 +431,15 @@ fn zero_instances_or_pack_exit_2_instead_of_running_one() {
         assert!(err.contains(msg), "{err}");
     }
 }
+
+#[test]
+fn negative_numeric_flag_is_a_usage_error_naming_line_and_flag() {
+    let path = std::env::temp_dir().join("ensemble-cli-test-negative.txt");
+    std::fs::write(&path, "-l 5 -g 16\n-l -5 -g 16\n").unwrap();
+    let out = run(&["xsbench", "-f", path.to_str().unwrap(), "--quiet"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("argument line 2"), "{err}");
+    assert!(err.contains("flag -l") && err.contains("`-5`"), "{err}");
+    assert!(out.stdout.is_empty(), "nothing ran");
+}

@@ -317,6 +317,16 @@ impl DeviceMemory {
         self.tag_peaks.iter().map(|(&t, &b)| (t, b))
     }
 
+    /// Whether `tag` holds nothing: no live region and no block parked in
+    /// its free-list rings.
+    pub fn tag_is_vacant(&self, tag: u32) -> bool {
+        self.tag_bytes.get(&tag).is_none_or(|&b| b == 0)
+            && self
+                .team_caches
+                .get(&tag)
+                .is_none_or(|classes| classes.values().all(VecDeque::is_empty))
+    }
+
     /// Restart per-tag high-water tracking (e.g. between the sequential
     /// launches of a batched ensemble, which reuse instance tags).
     pub fn reset_tag_peaks(&mut self) {

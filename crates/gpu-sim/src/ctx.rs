@@ -1,7 +1,9 @@
+use crate::replay::EffectLog;
 use crate::trace::{MixedSeg, Phase, TeamTrace};
 use gpu_mem::{
     coalesce, coalesce_row, AccessError, AllocError, DeviceMemory, DevicePtr, RegionInfo, Scalar,
 };
+use std::cell::Cell;
 
 /// Hook through which device code reaches the host (RPC). The offload
 /// runtime installs an implementation backed by `host-rpc`; `service` keys
@@ -336,6 +338,13 @@ struct TeamInner<'g> {
     /// A region was freed since the current round or serial section
     /// began, so the regions recorded with its accesses may be stale.
     freed: bool,
+    /// The team read its identity (team id or tag), so its trace may
+    /// differ from an identical sibling's in more than its bases.
+    identity_read: Cell<bool>,
+    /// Stores, atomics and frees that hit a region of another tag.
+    foreign_writes: u64,
+    /// The effect log, while this team records for replay.
+    log: Option<EffectLog>,
 }
 
 /// The execution context handed to one lane (thread) of a team.
@@ -350,8 +359,18 @@ pub struct LaneCtx<'t, 'g> {
 
 impl<'t, 'g> LaneCtx<'t, 'g> {
     /// The heap-region tag of this team — the instance id under ensemble
-    /// execution. Device-libc stubs use it to label RPC requests.
+    /// execution. Reading it marks the team identity-dependent, which
+    /// keeps it out of team replay.
     pub fn tag(&self) -> u32 {
+        self.inner.identity_read.set(true);
+        self.inner.default_tag
+    }
+
+    /// The instance label device-libc stubs stamp on RPC requests (the
+    /// team's tag). Team replay relabels recorded requests for each
+    /// sibling, so unlike [`LaneCtx::tag`] this read does not mark the
+    /// team identity-dependent. Use it for nothing but request labels.
+    pub fn rpc_instance(&self) -> u32 {
         self.inner.default_tag
     }
 
@@ -366,6 +385,7 @@ impl<'t, 'g> LaneCtx<'t, 'g> {
     /// Store a scalar to global memory.
     pub fn st<T: Scalar>(&mut self, p: DevicePtr, v: T) -> Result<(), KernelError> {
         let hit = self.inner.mem.store_hit::<T>(p, v)?;
+        self.inner.note_write(hit.tag);
         self.sink.global(p.0, T::SIZE, hit);
         self.sink.insts(cost::MEM_OP);
         Ok(())
@@ -391,6 +411,7 @@ impl<'t, 'g> LaneCtx<'t, 'g> {
     pub fn atomic_add_f64(&mut self, p: DevicePtr, v: f64) -> Result<f64, KernelError> {
         let old = self.inner.mem.load::<f64>(p)?;
         let hit = self.inner.mem.store_hit::<f64>(p, old + v)?;
+        self.inner.note_write(hit.tag);
         self.sink.global(p.0, 8, hit);
         self.sink.insts(cost::MEM_OP + cost::ATOMIC_EXTRA);
         Ok(old)
@@ -400,6 +421,7 @@ impl<'t, 'g> LaneCtx<'t, 'g> {
     pub fn atomic_add_u64(&mut self, p: DevicePtr, v: u64) -> Result<u64, KernelError> {
         let old = self.inner.mem.load::<u64>(p)?;
         let hit = self.inner.mem.store_hit::<u64>(p, old.wrapping_add(v))?;
+        self.inner.note_write(hit.tag);
         self.sink.global(p.0, 8, hit);
         self.sink.insts(cost::MEM_OP + cost::ATOMIC_EXTRA);
         Ok(old)
@@ -422,18 +444,37 @@ impl<'t, 'g> LaneCtx<'t, 'g> {
     }
 
     fn alloc(&mut self, bytes: u64, backing: gpu_mem::Backing) -> Result<DevicePtr, KernelError> {
-        let mem = &mut *self.inner.mem;
-        let recycled_before = mem.stats().recycled_allocations;
-        let p = mem.alloc_tagged(bytes, backing, self.inner.default_tag)?;
-        let fast = mem.stats().recycled_allocations > recycled_before;
+        let inner = &mut *self.inner;
+        let before = inner.mem.stats();
+        let p = inner.mem.alloc_tagged(bytes, backing, inner.default_tag)?;
+        let after = inner.mem.stats();
+        let fast = after.recycled_allocations > before.recycled_allocations;
+        if let Some(log) = &mut inner.log {
+            let aligned = after.bytes_in_use - before.bytes_in_use;
+            let free_lists = inner.mem.free_lists_enabled();
+            log.allocated(free_lists, bytes, backing, p.0, aligned, fast);
+        }
         self.sink.alloc_op(fast);
         Ok(p)
     }
 
     /// Free device-heap memory allocated with [`LaneCtx::dev_alloc`].
     pub fn dev_free(&mut self, p: DevicePtr) -> Result<(), KernelError> {
-        self.inner.mem.free(p)?;
-        self.inner.freed = true;
+        let inner = &mut *self.inner;
+        let region = inner.mem.region_of(p.0);
+        let parked = inner.mem.cached_bytes();
+        inner.mem.free(p)?;
+        inner.freed = true;
+        let region = region.expect("a freed pointer starts a live region");
+        inner.note_write(region.tag);
+        if let Some(log) = &mut inner.log {
+            // A ring that overflows spills its oldest block to the global
+            // list, where first fit may hand it to anyone.
+            if inner.mem.free_lists_enabled() && inner.mem.cached_bytes() != parked + region.len {
+                log.spoil("a free spilled a free-list ring");
+            }
+            log.freed(p.0);
+        }
         self.sink.insts(cost::MALLOC);
         self.sink.alloc_op(false);
         Ok(())
@@ -474,8 +515,31 @@ impl<'t, 'g> LaneCtx<'t, 'g> {
             return Err(KernelError::HostCallUnavailable { service });
         };
         self.sink.rpc();
-        hook(service, payload).map_err(KernelError::HostCallFailed)
+        let reply = hook(service, payload);
+        if let Some(log) = &mut self.inner.log {
+            log.host_call(service, payload, &reply);
+        }
+        reply.map_err(KernelError::HostCallFailed)
     }
+}
+
+impl TeamInner<'_> {
+    /// Count a store, atomic or free that hit a region tagged `tag`.
+    fn note_write(&mut self, tag: u32) {
+        if tag != self.default_tag {
+            self.foreign_writes += 1;
+        }
+    }
+}
+
+/// What a finished team hands back besides its trace: the facts team
+/// replay decides on.
+pub(crate) struct TeamRun {
+    pub trace: TeamTrace,
+    pub shared_bytes: u64,
+    pub identity_read: bool,
+    pub foreign_writes: u64,
+    pub log: Option<EffectLog>,
 }
 
 /// Per-team execution context: the device-side view one application
@@ -518,6 +582,9 @@ impl<'g> TeamCtx<'g> {
             shared_limit,
             default_tag,
             freed: false,
+            identity_read: Cell::new(false),
+            foreign_writes: 0,
+            log: None,
         };
         let mut trace = TeamTrace {
             phases: Vec::new(),
@@ -552,8 +619,24 @@ impl<'g> TeamCtx<'g> {
         self.inner.rpc_services = services;
     }
 
+    /// This team's id. Reading it marks the team identity-dependent,
+    /// which keeps it out of team replay.
     pub fn team_id(&self) -> u32 {
+        self.inner.identity_read.set(true);
         self.team_id
+    }
+
+    /// This team's id, for a loader that picks the team's inputs by it —
+    /// inputs the replay classes it supplies already tell apart. Unlike
+    /// [`TeamCtx::team_id`] it does not mark the team identity-dependent.
+    pub fn input_slot(&self) -> u32 {
+        self.team_id
+    }
+
+    /// Mark the team identity-dependent: a loader calls this when the
+    /// application read an identity the loader handed it.
+    pub fn mark_identity_read(&self) {
+        self.inner.identity_read.set(true);
     }
 
     pub fn num_teams(&self) -> u32 {
@@ -566,8 +649,9 @@ impl<'g> TeamCtx<'g> {
     }
 
     /// The tag new device allocations receive (the instance id under
-    /// ensemble execution).
+    /// ensemble execution). Reading it marks the team identity-dependent.
     pub fn default_tag(&self) -> u32 {
+        self.inner.identity_read.set(true);
         self.inner.default_tag
     }
 
@@ -730,6 +814,22 @@ impl<'g> TeamCtx<'g> {
         self.trace
     }
 
+    /// Record an effect log for team replay from here on.
+    pub(crate) fn record_effects(&mut self) {
+        self.inner.log = Some(EffectLog::default());
+    }
+
+    /// Finish execution and hand back the trace with the replay facts.
+    pub(crate) fn finish_run(self) -> TeamRun {
+        TeamRun {
+            shared_bytes: self.inner.shared.len() as u64,
+            identity_read: self.inner.identity_read.get(),
+            foreign_writes: self.inner.foreign_writes,
+            log: self.inner.log,
+            trace: self.trace,
+        }
+    }
+
     /// The trace built so far (for inspection in tests).
     pub fn trace(&self) -> &TeamTrace {
         &self.trace
@@ -759,6 +859,9 @@ impl<'g> TeamCtx<'g> {
 
 #[cfg(test)]
 mod oracle;
+
+#[cfg(test)]
+mod replay_diff;
 
 #[cfg(test)]
 mod tests {

@@ -1,4 +1,5 @@
 use crate::ctx::{HostCallHook, KernelError, TeamCtx};
+use crate::replay::{LeaderStart, Recording, TeamReplay};
 use crate::report::SimReport;
 use crate::timing::{
     simulate_timing, ScheduleDetail, StallAttribution, TimingInputs, TimingParams,
@@ -8,6 +9,7 @@ use crate::trace::{BlockTrace, MixedSeg, Phase};
 use gpu_arch::{occupancy, GpuSpec, LaunchConfig, LaunchError};
 use gpu_mem::{AllocError, DeviceMemory, TransferEngine};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Simulator-level launch failures (functional kernel errors are reported
 /// per team in [`LaunchResult::team_outcomes`], not here).
@@ -117,6 +119,11 @@ pub struct KernelSpec<'a> {
     /// outcomes stay bit-identical whether or not it is set — the
     /// liveness signal wall-clock run monitors sample mid-kernel.
     pub on_team_done: Option<&'a dyn Fn(u32, u32)>,
+    /// Memoized team replay (`DESIGN.md` §4.10): teams of one replay
+    /// class run one program on one input, so after the first of them
+    /// executes, a sibling whose preconditions hold replays its effects
+    /// instead. `None` (the default) executes every team.
+    pub replay: Option<TeamReplay<'a>>,
 }
 
 impl<'a> KernelSpec<'a> {
@@ -136,6 +143,7 @@ impl<'a> KernelSpec<'a> {
             cycle_budget: None,
             sample_interval: None,
             on_team_done: None,
+            replay: None,
         }
     }
 }
@@ -172,6 +180,25 @@ pub struct LaunchResult {
     pub timeline: Option<UtilizationTimeline>,
     /// Per-team work totals, indexed by team id. Always present.
     pub team_summaries: Vec<TeamSummary>,
+    /// Teams that replayed their class leader's effects instead of
+    /// executing (see [`KernelSpec::replay`]).
+    pub replayed_teams: u32,
+}
+
+/// Where one replay class stands during a launch.
+enum ClassState {
+    /// No member has executed as its leader yet.
+    Open,
+    /// The leader's recording, ready for its siblings.
+    Recorded(Box<Recording>),
+    /// The leader's execution cannot be replayed.
+    Closed,
+}
+
+/// Replay bookkeeping of one class.
+struct Class {
+    members: u32,
+    state: ClassState,
 }
 
 /// The simulated device: hardware spec, global memory, transfer engine and
@@ -224,13 +251,79 @@ impl Gpu {
             (0..num_blocks).map(|_| BlockTrace::default()).collect();
         let mut outcomes = Vec::with_capacity(spec.num_teams as usize);
         let mut max_shared = 0u64;
+        let mut classes: BTreeMap<u32, Class> = BTreeMap::new();
+        if let Some(r) = &spec.replay {
+            assert_eq!(r.class_of_team.len(), spec.num_teams as usize);
+            for &c in r.class_of_team {
+                classes
+                    .entry(c)
+                    .or_insert(Class {
+                        members: 0,
+                        state: ClassState::Open,
+                    })
+                    .members += 1;
+            }
+        }
+        // Stores, atomics and frees of other tags' regions so far: a
+        // leader may have read what such a write changes.
+        let mut foreign_writes = 0u64;
+        let mut replayed_teams = 0u32;
         for team in 0..spec.num_teams {
             let injected = spec.fault_of_team.and_then(|f| f(team));
+            let tag = spec.tag_of_team.map(|f| f(team)).unwrap_or(team);
+            let block = (team / spec.teams_per_block) as usize;
+            let class = spec
+                .replay
+                .as_ref()
+                .map(|r| (r.class_of_team[team as usize], r.relabel))
+                .filter(|_| injected.is_none());
+            let class = class.map(|(c, relabel)| (classes.get_mut(&c).expect("counted"), relabel));
+
+            // A sibling of a recorded leader replays when nothing it
+            // depends on has changed since the leader ran.
+            if let Some((
+                Class {
+                    state: ClassState::Recorded(rec),
+                    ..
+                },
+                relabel,
+            )) = &class
+            {
+                if rec.admits(&self.mem, tag, foreign_writes) {
+                    let trace = rec.replay(&mut self.mem, host_hook.as_deref_mut(), tag, *relabel);
+                    max_shared = max_shared.max(rec.shared_bytes);
+                    block_traces[block].teams.push(trace);
+                    outcomes.push(TeamOutcome::Return(rec.code));
+                    replayed_teams += 1;
+                    if let Some(hook) = spec.on_team_done {
+                        hook(team + 1, spec.num_teams);
+                    }
+                    continue;
+                }
+            }
+
+            // The first member of a class with siblings leads it: it
+            // executes in full and records its effects.
+            let lead = matches!(
+                &class,
+                Some((
+                    Class {
+                        members: 2..,
+                        state: ClassState::Open,
+                    },
+                    _,
+                ))
+            );
+            let leader = (lead && self.mem.tag_is_vacant(tag)).then(|| LeaderStart {
+                tag,
+                foreign_writes,
+                stats: self.mem.stats(),
+            });
+
             let free_bytes = match injected {
                 Some(InjectedTeamFault::DeviceOom { .. }) => self.mem.free_bytes(),
                 _ => 0,
             };
-            let tag = spec.tag_of_team.map(|f| f(team)).unwrap_or(team);
             let mut ctx = TeamCtx::new(
                 &mut self.mem,
                 team,
@@ -241,6 +334,9 @@ impl Gpu {
             );
             if let Some(hook) = host_hook.as_deref_mut() {
                 ctx.set_host_call(hook, spec.rpc_services.clone());
+            }
+            if leader.is_some() {
+                ctx.record_effects();
             }
             let outcome = match injected {
                 // Trap-class faults fire before any application code, so
@@ -259,8 +355,17 @@ impl Gpu {
                     Err(e) => TeamOutcome::Trap(e),
                 },
             };
-            max_shared = max_shared.max(ctx.shared_bytes_used());
-            let mut trace = ctx.finish();
+            let mut run = ctx.finish_run();
+            max_shared = max_shared.max(run.shared_bytes);
+            foreign_writes += run.foreign_writes;
+            if let (Some(start), Some((class, relabel))) = (leader, class) {
+                let stats = self.mem.stats();
+                class.state = match Recording::accept(start, &outcome, &mut run, stats, relabel) {
+                    Ok(rec) => ClassState::Recorded(Box::new(rec)),
+                    Err(_) => ClassState::Closed,
+                };
+            }
+            let mut trace = run.trace;
             if let Some(InjectedTeamFault::Hang { stall_cycles }) = injected {
                 // The hang is an extra barrier-delimited phase whose only
                 // content is injected latency on warp 0; every sibling warp
@@ -272,7 +377,6 @@ impl Gpu {
                     label: "injected:hang".into(),
                 });
             }
-            let block = (team / spec.teams_per_block) as usize;
             block_traces[block].teams.push(trace);
             outcomes.push(outcome);
             if let Some(hook) = spec.on_team_done {
@@ -366,6 +470,7 @@ impl Gpu {
             stalls,
             timeline,
             team_summaries,
+            replayed_teams,
         })
     }
 }

@@ -24,6 +24,7 @@
 mod ctx;
 mod fleet;
 mod kernel;
+mod replay;
 mod report;
 mod timing;
 mod trace;
@@ -33,6 +34,7 @@ pub use fleet::DeviceFleet;
 pub use kernel::{
     Gpu, InjectedTeamFault, KernelSpec, LaunchResult, SimError, TeamOutcome, TeamSummary,
 };
+pub use replay::{Relabel, TeamReplay};
 pub use report::SimReport;
 pub use timing::{
     simulate_timing, BlockSchedule, PhaseSpan, ScheduleDetail, StallAttribution, StallBuckets,

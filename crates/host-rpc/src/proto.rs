@@ -98,6 +98,28 @@ impl Request {
             | Request::Exit { instance, .. } => *instance,
         }
     }
+
+    /// This request as instance `to` would issue it, given that instance
+    /// `from` issued it. `None` when the request was not `from`'s or when
+    /// its reply depends on server state earlier requests changed — the
+    /// clock and every file operation — so that replaying it for another
+    /// instance could be answered differently.
+    pub fn relabel(&self, from: u32, to: u32) -> Option<Request> {
+        if self.instance() != from {
+            return None;
+        }
+        match self.clone() {
+            Request::Stdout { text, .. } => Some(Request::Stdout { instance: to, text }),
+            Request::Stderr { text, .. } => Some(Request::Stderr { instance: to, text }),
+            Request::Exit { code, .. } => Some(Request::Exit { instance: to, code }),
+            Request::FOpen { .. }
+            | Request::FClose { .. }
+            | Request::FRead { .. }
+            | Request::FWrite { .. }
+            | Request::FSeek { .. }
+            | Request::Clock { .. } => None,
+        }
+    }
 }
 
 /// A reply from the host.
@@ -521,6 +543,37 @@ mod tests {
         let mut enc = Response::Ok.encode();
         enc.push(0);
         assert!(Response::decode(&enc).is_err());
+    }
+
+    #[test]
+    fn relabel_moves_only_stateless_requests() {
+        let out = Request::Stdout {
+            instance: 2,
+            text: "x".into(),
+        };
+        assert_eq!(
+            out.relabel(2, 5),
+            Some(Request::Stdout {
+                instance: 5,
+                text: "x".into()
+            })
+        );
+        // Not the claimed issuer.
+        assert_eq!(out.relabel(3, 5), None);
+        assert_eq!(
+            Request::Exit {
+                instance: 2,
+                code: 7
+            }
+            .relabel(2, 0),
+            Some(Request::Exit {
+                instance: 0,
+                code: 7
+            })
+        );
+        // Replies that depend on server state.
+        assert_eq!(Request::Clock { instance: 2 }.relabel(2, 5), None);
+        assert_eq!(Request::FClose { instance: 2, fd: 3 }.relabel(2, 5), None);
     }
 
     #[test]

@@ -32,7 +32,7 @@ module "counter" {
 fn counter_main(team: &mut TeamCtx<'_>, cx: &AppContext) -> Result<i32, KernelError> {
     let k: u64 = cx.argv.get(1).and_then(|v| v.parse().ok()).unwrap_or(10);
     let slot = cx.global("hits")?;
-    let instance = cx.instance;
+    let instance = cx.instance();
     team.serial("bump", |lane| {
         let final_count = match slot {
             GlobalSlot::Device(ptr) => {

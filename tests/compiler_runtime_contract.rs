@@ -96,7 +96,7 @@ fn globals_main(team: &mut TeamCtx<'_>, cx: &AppContext) -> Result<i32, KernelEr
         matches!(table, GlobalSlot::Device(_)),
         "const stays device-resident"
     );
-    let instance = cx.instance;
+    let instance = cx.instance();
     team.serial("use", |lane| {
         if let GlobalSlot::Shared(buf) = small {
             lane.sh_st::<u8>(&buf, 0, instance as u8)?;
